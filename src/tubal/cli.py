@@ -68,51 +68,47 @@ def run_gen(params, outdir: Path) -> int:
     return _EXIT_OK
 
 
-def run_recover(params, outdir: Path) -> int:
-    x0 = io.read_tensor(params["tensor"])
-    gmap = make_gaussian_map(params["m"], x0.shape, params["seed"])
-    y = apply_map(gmap, x0)
-    cfg = _cfg_from(params, record_history=params.get("history", False))
-    xhat, report = solve_gaussian(gmap, y, cfg)
+def _mask_for(shape, params):
+    if params.get("mask"):
+        return io.read_mask(params["mask"])
+    return make_bernoulli_mask(shape, params["p"], params["seed"])
 
-    outputs = ["xhat.t3", "report.csv"]
+
+def _finish_recovery(outdir: Path, subcommand: str, params: dict, outputs: list,
+                     truth, xhat, report, label: str) -> int:
+    """Write xhat.t3, report.csv, the optional history.csv and the manifest."""
     io.write_tensor(outdir / "xhat.t3", xhat)
-    err = rel_error(xhat, x0)
+    err = rel_error(xhat, truth)
     rank = tubal_rank(xhat, params["rank_tol"])
     io.write_report_csv(outdir / "report.csv", report,
                         extra={"rel_error": err, "rank_estimate": rank})
+    outputs = [*outputs, "xhat.t3", "report.csv"]
     if report.history is not None:
         io.write_history_csv(outdir / "history.csv", report.history)
         outputs.append("history.csv")
-    _finish(outdir, "recover", params, outputs)
-    print(f"m={params['m']} iterations={report.iterations} "
+    _finish(outdir, subcommand, params, outputs)
+    print(f"{label} iterations={report.iterations} "
           f"converged={report.converged} rel_error={err:.3e} rank={rank}")
     return _EXIT_OK if report.converged else _EXIT_NOT_CONVERGED
+
+
+def run_recover(params, outdir: Path) -> int:
+    x0 = io.read_tensor(params["tensor"])
+    gmap = make_gaussian_map(params["m"], x0.shape, params["seed"])
+    cfg = _cfg_from(params, record_history=params.get("history", False))
+    xhat, report = solve_gaussian(gmap, apply_map(gmap, x0), cfg)
+    return _finish_recovery(outdir, "recover", params, [], x0, xhat, report,
+                            f"m={params['m']}")
 
 
 def run_complete(params, outdir: Path) -> int:
     m_full = io.read_tensor(params["tensor"])
-    if params.get("mask"):
-        mask = io.read_mask(params["mask"])
-    else:
-        mask = make_bernoulli_mask(m_full.shape, params["p"], params["seed"])
+    mask = _mask_for(m_full.shape, params)
     cfg = _cfg_from(params, record_history=params.get("history", False))
     xhat, report = solve_completion(mask, proj_omega(mask, m_full), cfg)
-
-    outputs = ["xhat.t3", "mask.om", "report.csv"]
-    io.write_tensor(outdir / "xhat.t3", xhat)
     io.write_mask(outdir / "mask.om", mask)
-    err = rel_error(xhat, m_full)
-    rank = tubal_rank(xhat, params["rank_tol"])
-    io.write_report_csv(outdir / "report.csv", report,
-                        extra={"rel_error": err, "rank_estimate": rank})
-    if report.history is not None:
-        io.write_history_csv(outdir / "history.csv", report.history)
-        outputs.append("history.csv")
-    _finish(outdir, "complete", params, outputs)
-    print(f"p={mask.p} observed={mask.count} iterations={report.iterations} "
-          f"converged={report.converged} rel_error={err:.3e} rank={rank}")
-    return _EXIT_OK if report.converged else _EXIT_NOT_CONVERGED
+    return _finish_recovery(outdir, "complete", params, ["mask.om"], m_full, xhat, report,
+                            f"p={mask.p} observed={mask.count}")
 
 
 def run_phase(params, outdir: Path) -> int:
@@ -139,29 +135,35 @@ def run_phase(params, outdir: Path) -> int:
 
 
 def _complete_pixels(tensor, params):
-    if params.get("mask"):
-        mask = io.read_mask(params["mask"])
-    else:
-        mask = make_bernoulli_mask(tensor.shape, params["p"], params["seed"])
-    cfg = _cfg_from(params)
-    xhat, report = solve_completion(mask, proj_omega(mask, tensor), cfg)
-    return np.clip(xhat, 0.0, 1.0), mask, report
+    """Complete a [0, 1] pixel tensor; returns (clipped xhat, mask, report, psnr)."""
+    mask = _mask_for(tensor.shape, params)
+    xhat, report = solve_completion(mask, proj_omega(mask, tensor), _cfg_from(params))
+    xhat = np.clip(xhat, 0.0, 1.0)
+    return xhat, mask, report, psnr(xhat, tensor)
+
+
+def _finish_pixels(outdir: Path, subcommand: str, params: dict, images: dict,
+                   mask, report, quality: float) -> int:
+    """Write the completed images, mask.om, report.csv and the manifest."""
+    for name, pixels in images.items():
+        io.write_image(outdir / name, pixels)
+    io.write_mask(outdir / "mask.om", mask)
+    io.write_report_csv(outdir / "report.csv", report, extra={"psnr_db": quality})
+    _finish(outdir, subcommand, params, [*images, "mask.om", "report.csv"])
+    return _EXIT_OK if report.converged else _EXIT_NOT_CONVERGED
 
 
 def run_inpaint(params, outdir: Path) -> int:
     pixels, color = io.read_image(params["image"])
     tensor = io.image_to_tensor(pixels, color)
-    xhat, mask, report = _complete_pixels(tensor, params)
-    quality = psnr(xhat, tensor)
-
+    xhat, mask, report, quality = _complete_pixels(tensor, params)
     out_name = "inpainted.ppm" if color else "inpainted.pgm"
-    io.write_image(outdir / out_name, io.tensor_to_image(xhat, color))
-    io.write_mask(outdir / "mask.om", mask)
-    io.write_report_csv(outdir / "report.csv", report, extra={"psnr_db": quality})
-    _finish(outdir, "inpaint", params, [out_name, "mask.om", "report.csv"])
+    code = _finish_pixels(outdir, "inpaint", params,
+                          {out_name: io.tensor_to_image(xhat, color)},
+                          mask, report, quality)
     print(f"psnr_db={quality:.2f} iterations={report.iterations} "
           f"converged={report.converged}")
-    return _EXIT_OK if report.converged else _EXIT_NOT_CONVERGED
+    return code
 
 
 def run_frames(params, outdir: Path) -> int:
@@ -183,20 +185,13 @@ def run_frames(params, outdir: Path) -> int:
     tensor = np.empty((h, len(frames), w))
     for j, f in enumerate(frames):
         tensor[:, j, :] = f.astype(float) / 255.0
-    xhat, mask, report = _complete_pixels(tensor, params)
-    quality = psnr(xhat, tensor)
-
-    outputs = ["mask.om", "report.csv"]
-    for j, p in enumerate(paths):
-        pixels = np.rint(np.clip(xhat[:, j, :], 0.0, 1.0) * 255.0).astype(np.uint8)
-        io.write_image(outdir / p.name, pixels)
-        outputs.append(p.name)
-    io.write_mask(outdir / "mask.om", mask)
-    io.write_report_csv(outdir / "report.csv", report, extra={"psnr_db": quality})
-    _finish(outdir, "frames", params, outputs)
+    xhat, mask, report, quality = _complete_pixels(tensor, params)
+    images = {p.name: np.rint(xhat[:, j, :] * 255.0).astype(np.uint8)
+              for j, p in enumerate(paths)}
+    code = _finish_pixels(outdir, "frames", params, images, mask, report, quality)
     print(f"frames={len(frames)} psnr_db={quality:.2f} "
           f"converged={report.converged}")
-    return _EXIT_OK if report.converged else _EXIT_NOT_CONVERGED
+    return code
 
 
 def run_info(params, outdir=None) -> int:
@@ -225,6 +220,9 @@ _RUNNERS = {
 
 def run_replay(params, outdir: Path) -> int:
     manifest = io.read_manifest(params["manifest"])
+    if not (isinstance(manifest, dict) and manifest.get("format") == 1
+            and isinstance(manifest.get("params"), dict)):
+        raise TubalError(f"{params['manifest']}: not a format-1 manifest with params")
     sub = manifest.get("subcommand")
     if sub not in _RUNNERS:
         raise TubalError(f"manifest names unknown subcommand {sub!r}")

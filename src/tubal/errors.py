@@ -51,3 +51,7 @@ class UnsupportedFormat(TubalError):
 
 class FrameSizeMismatch(TubalError):
     """Frames in a sequence do not all share the same size."""
+
+
+class NonFiniteValues(TubalError):
+    """Input data contains NaN or Inf entries."""

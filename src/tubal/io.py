@@ -13,6 +13,7 @@ written value round-trips to the exact double.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -20,17 +21,26 @@ import numpy as np
 
 from .errors import UnsupportedFormat
 from .sensing import SampleMask
+from .tensor import _require_finite
 
 _T3_MAGIC = b"T3R1"
 _OM_MAGIC = b"OMG1"
+
+
+def _read_exact(fh, path, nbytes: int) -> bytes:
+    """Read nbytes, first checking that the file still holds that many."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > remaining:
+        raise UnsupportedFormat(
+            f"{path}: truncated, expected {nbytes} more bytes, found {remaining}")
+    return fh.read(nbytes)
 
 
 def write_tensor(path, a: np.ndarray):
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:
         raise UnsupportedFormat(f"tensor files hold 3-way tensors, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("refusing to write NaN/Inf entries")
+    _require_finite(a, f"{path}: tensor to write")
     n1, n2, n3 = a.shape
     with open(path, "wb") as fh:
         fh.write(_T3_MAGIC)
@@ -47,13 +57,10 @@ def read_tensor(path) -> np.ndarray:
         version = fh.read(1)
         if version != bytes([1]):
             raise UnsupportedFormat(f"{path}: unsupported version {version!r}")
-        n1, n2, n3 = struct.unpack("<QQQ", fh.read(24))
-        payload = fh.read(8 * n1 * n2 * n3)
-    if len(payload) != 8 * n1 * n2 * n3:
-        raise UnsupportedFormat(f"{path}: truncated payload")
+        n1, n2, n3 = struct.unpack("<QQQ", _read_exact(fh, path, 24))
+        payload = _read_exact(fh, path, 8 * n1 * n2 * n3)
     data = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: tensor contains NaN/Inf entries")
+    _require_finite(data, f"{path}: tensor")
     return np.ascontiguousarray(data.reshape((n1, n2, n3), order="F"))
 
 
@@ -73,11 +80,9 @@ def read_mask(path) -> SampleMask:
         magic = fh.read(4)
         if magic != _OM_MAGIC:
             raise UnsupportedFormat(f"{path}: bad magic {magic!r}, expected {_OM_MAGIC!r}")
-        n1, n2, n3 = struct.unpack("<QQQ", fh.read(24))
-        (p,) = struct.unpack("<d", fh.read(8))
-        (seed,) = struct.unpack("<Q", fh.read(8))
+        n1, n2, n3, p, seed = struct.unpack("<QQQdQ", _read_exact(fh, path, 40))
         count = n1 * n2 * n3
-        packed = fh.read((count + 7) // 8)
+        packed = _read_exact(fh, path, (count + 7) // 8)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
                          bitorder="little")[:count]
     observed = np.ascontiguousarray(
@@ -85,8 +90,8 @@ def read_mask(path) -> SampleMask:
     return SampleMask(dims=(n1, n2, n3), p=p, seed=seed, observed=observed)
 
 
-def _read_pnm_token(fh) -> bytes:
-    """Next whitespace-delimited token, skipping '#' comments."""
+def _read_pnm_int(fh) -> int:
+    """Next whitespace-delimited header number, skipping '#' comments."""
     token = b""
     while True:
         ch = fh.read(1)
@@ -98,7 +103,9 @@ def _read_pnm_token(fh) -> bytes:
             continue
         if ch.isspace():
             if token:
-                return token
+                if not token.isdigit():
+                    raise UnsupportedFormat(f"pixmap header field {token!r} is not a number")
+                return int(token)
             continue
         token += ch
 
@@ -112,15 +119,13 @@ def read_image(path):
         magic = fh.read(2)
         if magic not in (b"P5", b"P6"):
             raise UnsupportedFormat(f"{path}: expected binary P5/P6, got {magic!r}")
-        width = int(_read_pnm_token(fh))
-        height = int(_read_pnm_token(fh))
-        maxval = int(_read_pnm_token(fh))
+        width = _read_pnm_int(fh)
+        height = _read_pnm_int(fh)
+        maxval = _read_pnm_int(fh)
         if maxval != 255:
             raise UnsupportedFormat(f"{path}: only maxval 255 supported, got {maxval}")
         channels = 3 if magic == b"P6" else 1
-        payload = fh.read(width * height * channels)
-    if len(payload) != width * height * channels:
-        raise UnsupportedFormat(f"{path}: truncated pixel data")
+        payload = _read_exact(fh, path, width * height * channels)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     if channels == 1:
         return pixels[:, :, 0].copy(), False
@@ -232,4 +237,7 @@ def write_manifest(path, manifest: dict):
 
 
 def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise UnsupportedFormat(f"{path}: not a JSON manifest: {exc}") from exc

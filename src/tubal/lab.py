@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidEpsilon, InvalidRank
+from .errors import DimMismatch, InvalidEpsilon, InvalidRank, TubalError
 from .rng import derive_seed, normal_fill, substream
 from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map, proj_omega
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
@@ -73,9 +73,9 @@ def completion_rate_bound(n1: int, n2: int, n3: int, r: int,
 def incoherence(factors: TSvdFactors) -> float:
     """Smallest mu satisfying the standard incoherence conditions on u and v.
 
-    mu = max over sides of (n * n3 / r) * max_i ||u^H * e_col(i)||_F^2, where
-    the slice energies are read off the Fourier transform of the factor
-    (each column-basis product collapses to a factor row per slice).
+    mu = max over sides of (n * n3 / r) * max_i ||u^H * e_col(i)||_F^2.  That
+    product is the conjugate transpose of the horizontal slice u[i, :, :], so
+    its energy is the slice's squared Frobenius norm.
     """
     r = factors.k
     if r < 1:
@@ -83,9 +83,7 @@ def incoherence(factors: TSvdFactors) -> float:
 
     def side(u):
         n, _, n3 = u.shape
-        fu = np.fft.fft(u, axis=2)
-        row_energy = (np.abs(fu) ** 2).sum(axis=(1, 2)) / n3
-        return (n * n3 / r) * row_energy.max()
+        return (n * n3 / r) * (u * u).sum(axis=(1, 2)).max()
 
     return float(max(side(factors.u), side(factors.v)))
 
@@ -152,19 +150,46 @@ def make_verdict(xhat: np.ndarray, x0: np.ndarray, report: SolverReport,
 TABLE_RANK_TOL = 1e-3
 
 
-def _gaussian_trial(n1, n2, n3, r, m, seed_tensor, seed_map, cfg):
-    x0 = rand_low_tubal(n1, n2, n3, r, seed_tensor, scale="unit")
-    gmap = make_gaussian_map(m, (n1, n2, n3), seed_map)
-    y = apply_map(gmap, x0)
-    xhat, report = solve_gaussian(gmap, y, cfg)
+# A solver or generator rejecting its input, or LAPACK failing to converge,
+# costs one row or one trial; any other exception is a bug and propagates.
+_TRIAL_ERRORS = (TubalError, np.linalg.LinAlgError)
+
+
+def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg):
+    """Draw a tubal-rank-r tensor, sense it and recover it; returns (x0, xhat, report).
+
+    kind="gaussian" measures a unit-scale tensor with `value` Gaussian
+    measurements; kind="completion" samples a 1/n-scale tensor at rate `value`.
+    """
+    if kind == "gaussian":
+        x0 = rand_low_tubal(*dims, r, seed_tensor, scale="unit")
+        gmap = make_gaussian_map(value, dims, seed_sensing)
+        xhat, report = solve_gaussian(gmap, apply_map(gmap, x0), cfg)
+    else:
+        x0 = rand_low_tubal(*dims, r, seed_tensor, scale="inv_n")
+        mask = make_bernoulli_mask(dims, value, seed_sensing)
+        xhat, report = solve_completion(mask, proj_omega(mask, x0), cfg)
     return x0, xhat, report
 
 
-def _completion_trial(n1, n2, n3, r, p, seed_tensor, seed_mask, cfg):
-    m_full = rand_low_tubal(n1, n2, n3, r, seed_tensor, scale="inv_n")
-    mask = make_bernoulli_mask((n1, n2, n3), p, seed_mask)
-    xhat, report = solve_completion(mask, proj_omega(mask, m_full), cfg)
-    return m_full, xhat, report
+def _run_table(kind, rows, base_seed, cfg, rank_tol) -> list:
+    table, rate, sensing = (("table1", "m", "map") if kind == "gaussian"
+                            else ("table2", "p", "mask"))
+    out = []
+    for n, n3, r, value in rows:
+        row = {"n": n, "n3": n3, "r": r, rate: value}
+        coord = value if kind == "gaussian" else float(value)
+        try:
+            seed_t = derive_seed(base_seed, table, n, n3, r, coord, "tensor")
+            seed_s = derive_seed(base_seed, table, n, n3, r, coord, sensing)
+            x0, xhat, report = _trial(kind, (n, n, n3), r, value, seed_t, seed_s, cfg)
+            v = make_verdict(xhat, x0, report, rank_tol=rank_tol)
+            row.update(rank_estimate=v.rank_estimate, rel_error=v.rel_error,
+                       iterations=report.iterations, converged=report.converged)
+        except _TRIAL_ERRORS as exc:  # keep the batch alive
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        out.append(row)
+    return out
 
 
 def run_table1(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
@@ -172,22 +197,10 @@ def run_table1(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
     """Gaussian-measurement recovery table.
 
     rows: iterable of (n, n3, r, m).  Returns one dict per row with the
-    verdict fields; a failing row records its error and the batch continues.
+    verdict fields; a row whose trial is rejected or fails to converge in
+    LAPACK records its error and the batch continues.
     """
-    out = []
-    for n, n3, r, m in rows:
-        row = {"n": n, "n3": n3, "r": r, "m": m}
-        try:
-            seed_t = derive_seed(base_seed, "table1", n, n3, r, m, "tensor")
-            seed_a = derive_seed(base_seed, "table1", n, n3, r, m, "map")
-            x0, xhat, report = _gaussian_trial(n, n, n3, r, m, seed_t, seed_a, cfg)
-            v = make_verdict(xhat, x0, report, rank_tol=rank_tol)
-            row.update(rank_estimate=v.rank_estimate, rel_error=v.rel_error,
-                       iterations=report.iterations, converged=report.converged)
-        except Exception as exc:  # keep the batch alive
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        out.append(row)
-    return out
+    return _run_table("gaussian", rows, base_seed, cfg, rank_tol)
 
 
 def run_table2(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
@@ -196,20 +209,7 @@ def run_table2(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
 
     rows: iterable of (n, n3, r, p); factors are drawn at the 1/n scale.
     """
-    out = []
-    for n, n3, r, p in rows:
-        row = {"n": n, "n3": n3, "r": r, "p": p}
-        try:
-            seed_t = derive_seed(base_seed, "table2", n, n3, r, float(p), "tensor")
-            seed_o = derive_seed(base_seed, "table2", n, n3, r, float(p), "mask")
-            m_full, xhat, report = _completion_trial(n, n, n3, r, p, seed_t, seed_o, cfg)
-            v = make_verdict(xhat, m_full, report, rank_tol=rank_tol)
-            row.update(rank_estimate=v.rank_estimate, rel_error=v.rel_error,
-                       iterations=report.iterations, converged=report.converged)
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        out.append(row)
-    return out
+    return _run_table("completion", rows, base_seed, cfg, rank_tol)
 
 
 @dataclass
@@ -263,18 +263,13 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
         for r in ranks:
             successes = 0
             errs, iters, failures = [], [], []
+            coord = float(v) if kind == "completion" else int(v)
             for t in range(trials):
-                coord = float(v) if kind == "completion" else int(v)
                 seed_t = derive_seed(base_seed, kind, coord, r, t, "tensor")
                 seed_s = derive_seed(base_seed, kind, coord, r, t, "sensing")
                 try:
-                    if kind == "gaussian":
-                        x0, xhat, report = _gaussian_trial(
-                            n1, n2, n3, r, int(v), seed_t, seed_s, cfg)
-                    else:
-                        x0, xhat, report = _completion_trial(
-                            n1, n2, n3, r, float(v), seed_t, seed_s, cfg)
-                except Exception as exc:
+                    x0, xhat, report = _trial(kind, grid.dims, r, coord, seed_t, seed_s, cfg)
+                except _TRIAL_ERRORS as exc:
                     failures.append(f"trial {t}: {type(exc).__name__}: {exc}")
                     continue
                 err = rel_error(xhat, x0)

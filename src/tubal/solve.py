@@ -6,8 +6,8 @@ singular-value-thresholding step with a linear solve against (A^T A + I).
 `solve_completion` recovers a tensor from observed entries by carrying the
 unobserved part in an explicit slack tensor.
 
-Both use the same schedule: penalty mu_k = min(mu0 * rho^k, mu_max) and
-infinity-norm stopping criteria checked each iteration.  Hitting the
+Both run the same loop, `_admm`: penalty mu_k = min(mu0 * rho^k, mu_max)
+and infinity-norm stopping criteria checked each iteration.  Hitting the
 iteration cap is not an exception; the report comes back with
 converged=False and the final iterate is returned as-is.
 """
@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import DimMismatch
 from .sensing import GaussianMap, SampleMask, proj_omega, proj_omega_c
-from .tensor import unvec, vec
+from .tensor import _require_finite, unvec, vec
 from .tsvd import _svt_freq
 
 
@@ -59,6 +59,35 @@ def _penalty(cfg: AdmmConfig, k: int) -> float:
     return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
 
 
+def _admm(cfg: AdmmConfig, step, t0: float):
+    """Run the shared ADMM schedule around one solver's update.
+
+    step(mu) performs one iteration at penalty mu and returns
+    (x, objective, residuals); the loop stops once every residual is at most
+    cfg.eps or after cfg.max_iter iterations.  t0 is the solver's start time.
+    Returns the last x and its SolverReport.
+    """
+    history = [] if cfg.record_history else None
+    for k in range(cfg.max_iter):
+        mu = _penalty(cfg, k)
+        x, objective, residuals = step(mu)
+        if history is not None:
+            history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
+        converged = all(v <= cfg.eps for v in residuals.values())
+        if converged:
+            break
+    report = SolverReport(
+        iterations=k + 1,
+        converged=converged,
+        residuals=residuals,
+        mu_final=mu,
+        objective=objective,
+        wall_time=time.perf_counter() - t0,
+        history=history,
+    )
+    return x, report
+
+
 def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to A vec(x) = y.
 
@@ -70,6 +99,7 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != gmap.m:
         raise DimMismatch(f"expected {gmap.m} measurements, got {y.size}")
+    _require_finite(y, "measurement vector y")
     t0 = time.perf_counter()
     a = gmap.a
     m, d = a.shape
@@ -91,29 +121,21 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
         def solve_system(w):
             return scipy.linalg.cho_solve(factor, w, check_finite=False)
 
-    aty = a.T @ y
     x = np.zeros(dims)
     z = np.zeros(dims)
     lam1 = np.zeros(m)
     lam2 = np.zeros(dims)
 
-    history = [] if cfg.record_history else None
-    residuals = {"res_x": np.inf, "res_z": np.inf, "res_feas": np.inf, "res_gap": np.inf}
-    objective = 0.0
-    converged = False
-    mu = cfg.mu0
-    iterations = 0
-
-    for k in range(cfg.max_iter):
-        mu = _penalty(cfg, k)
+    def step(mu):
+        nonlocal x, z, lam1, lam2
         x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu)
-        rhs = -a.T @ (lam1 / mu) + vec(lam2) / mu + aty + vec(x_new)
+        # the sign sits on the m-vector: negating a.T would copy the whole map
+        rhs = a.T @ (y - lam1 / mu) + vec(lam2) / mu + vec(x_new)
         z_vec = solve_system(rhs)
         z_new = unvec(z_vec, dims)
         feas = a @ z_vec - y
         lam1 = lam1 + mu * feas
         lam2 = lam2 + mu * (x_new - z_new)
-
         residuals = {
             "res_x": float(np.abs(x_new - x).max()),
             "res_z": float(np.abs(z_new - z).max()),
@@ -121,75 +143,41 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
             "res_gap": float(np.abs(x_new - z_new).max()),
         }
         x, z = x_new, z_new
-        iterations = k + 1
-        if history is not None:
-            history.append({"iter": iterations, "objective": objective, **residuals, "mu": mu})
-        if all(v <= cfg.eps for v in residuals.values()):
-            converged = True
-            break
+        return x, objective, residuals
 
-    report = SolverReport(
-        iterations=iterations,
-        converged=converged,
-        residuals=residuals,
-        mu_final=mu,
-        objective=objective,
-        wall_time=time.perf_counter() - t0,
-        history=history,
-    )
-    return x, report
+    return _admm(cfg, step, t0)
 
 
 def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to agreeing with m_obs on the mask.
 
     m_obs must carry zeros at unobserved entries (they are re-zeroed
-    defensively).  Returns (x_hat, report).
+    defensively, so only observed entries need be finite).  Returns
+    (x_hat, report).
     """
     cfg = cfg or AdmmConfig()
     if tuple(m_obs.shape) != tuple(mask.dims):
         raise DimMismatch(f"tensor shape {m_obs.shape} does not match mask dims {mask.dims}")
     t0 = time.perf_counter()
     m_obs = proj_omega(mask, np.asarray(m_obs, dtype=float))
+    _require_finite(m_obs, "observed data")
 
     x = np.zeros(mask.dims)
     e = np.zeros(mask.dims)
     dual = np.zeros(mask.dims)
 
-    history = [] if cfg.record_history else None
-    residuals = {"res_x": np.inf, "res_e": np.inf, "res_feas": np.inf}
-    objective = 0.0
-    converged = False
-    mu = cfg.mu0
-    iterations = 0
-
-    for k in range(cfg.max_iter):
-        mu = _penalty(cfg, k)
+    def step(mu):
+        nonlocal x, e, dual
         x_new, objective = _svt_freq(m_obs - e + dual / mu, 1.0 / mu)
         e_new = proj_omega_c(mask, m_obs - x_new + dual / mu)
         gap = m_obs - x_new - e_new
         dual = dual + mu * gap
-
         residuals = {
             "res_x": float(np.abs(x_new - x).max()),
             "res_e": float(np.abs(e_new - e).max()),
             "res_feas": float(np.abs(gap).max()),
         }
         x, e = x_new, e_new
-        iterations = k + 1
-        if history is not None:
-            history.append({"iter": iterations, "objective": objective, **residuals, "mu": mu})
-        if all(v <= cfg.eps for v in residuals.values()):
-            converged = True
-            break
+        return x, objective, residuals
 
-    report = SolverReport(
-        iterations=iterations,
-        converged=converged,
-        residuals=residuals,
-        mu_final=mu,
-        objective=objective,
-        wall_time=time.perf_counter() - t0,
-        history=history,
-    )
-    return x, report
+    return _admm(cfg, step, t0)

@@ -9,16 +9,27 @@ column-major: index i varies fastest, then j, then k, i.e. numpy's
 
 The product of two tensors multiplies their block-circulant expansions; it
 is computed in the frequency domain as independent matrix products per
-Fourier slice.  Because the inputs are real, the transformed slices come in
-conjugate pairs, so only the first ``n3 // 2 + 1`` products are formed and
-the rest are mirrored.
+Fourier slice.
+
+A real tensor has a conjugate-symmetric spectrum, so only its first
+``n3 // 2 + 1`` Fourier slices are independent.  ``_rfft3`` and ``_irfft3``
+are the one place that fact is used: every spectral routine here and in
+``tsvd`` works on that half-spectrum stack, and ``_mirror_weights`` counts
+how often each of its slices occurs in the full spectrum.  The public
+``fft_dim3``/``ifft_dim3`` keep the full spectrum; they serve as oracles.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, IndexOutOfRange, LengthMismatch, SymmetryViolation
+from .errors import (
+    DimMismatch,
+    IndexOutOfRange,
+    LengthMismatch,
+    NonFiniteValues,
+    SymmetryViolation,
+)
 
 # Relative tolerances for the conjugate-symmetry invariant of transformed
 # tensors and for the imaginary residue discarded by the inverse transform.
@@ -37,17 +48,42 @@ def _require_tensor(a, name="tensor"):
     return a
 
 
+def _require_finite(a, what: str):
+    """Raise NonFiniteValues unless every entry of the array a is finite."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteValues(f"{what} contains NaN or Inf entries")
+
+
 def validate_tensor(a) -> np.ndarray:
     """Check the tensor contract: 3-way, float, every entry finite."""
     a = _require_tensor(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("tensor contains NaN or Inf entries")
+    _require_finite(a, "tensor")
     return a
 
 
 def half_spectrum(n3: int) -> int:
     """Number of independent Fourier slices of a real tensor: ceil((n3+1)/2)."""
     return n3 // 2 + 1
+
+
+def _mirror_weights(n3: int) -> np.ndarray:
+    """Multiplicity of each independent Fourier slice; sums to n3."""
+    h = half_spectrum(n3)
+    w = np.full(h, 2.0)
+    w[0] = 1.0
+    if n3 % 2 == 0:
+        w[h - 1] = 1.0
+    return w
+
+
+def _rfft3(a: np.ndarray) -> np.ndarray:
+    """The independent Fourier slices of a real tensor, stacked as (h, n1, n2)."""
+    return np.fft.rfft(a, axis=2).transpose(2, 0, 1)
+
+
+def _irfft3(f: np.ndarray, n3: int) -> np.ndarray:
+    """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2)."""
+    return np.ascontiguousarray(np.fft.irfft(f, n=n3, axis=0).transpose(1, 2, 0))
 
 
 def fft_dim3(a: np.ndarray) -> np.ndarray:
@@ -84,23 +120,14 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor-tensor product of (n1, n2, n3) with (n2, l, n3) -> (n1, l, n3).
 
     Equal to folding ``bcirc(a) @ unfold(b)``; computed as per-slice complex
-    matrix products on the first n3//2+1 Fourier slices, with the remaining
-    slices filled by conjugate symmetry.
+    matrix products on the independent Fourier slices.
     """
     a = _require_tensor(a, "a")
     b = _require_tensor(b, "b")
-    n1, n2, n3 = a.shape
+    _, n2, n3 = a.shape
     if b.shape[0] != n2 or b.shape[2] != n3:
         raise DimMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    ell = b.shape[1]
-    h = half_spectrum(n3)
-    fa = np.fft.fft(a, axis=2).transpose(2, 0, 1)
-    fb = np.fft.fft(b, axis=2).transpose(2, 0, 1)
-    fc = np.empty((n3, n1, ell), dtype=complex)
-    fc[:h] = fa[:h] @ fb[:h]
-    for idx in range(h, n3):
-        fc[idx] = np.conj(fc[n3 - idx])
-    return np.ascontiguousarray(np.fft.ifft(fc, axis=0).real.transpose(1, 2, 0))
+    return _irfft3(_rfft3(a) @ _rfft3(b), n3)
 
 
 def _unfold(a: np.ndarray) -> np.ndarray:

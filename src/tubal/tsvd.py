@@ -1,9 +1,9 @@
 """Tensor spectral toolkit: t-SVD, tubal rank, nuclear/spectral norms, SVT.
 
-Everything here works one Fourier slice at a time.  For a real tensor the
-slices come in conjugate pairs, so each routine decomposes only the first
-``n3 // 2 + 1`` slices and either mirrors the factors (t-SVD, SVT) or
-double-counts the paired contributions (norms, ranks).
+Everything here works one Fourier slice at a time, on the independent
+half-spectrum stack that ``tensor._rfft3`` returns.  Factors and
+thresholded slices go back through ``tensor._irfft3``; norms and ranks
+count each slice with its multiplicity in the full spectrum.
 
 Singular values of the tensor are the diagonal entries of the first frontal
 slice of the middle factor; they equal the per-slice singular values
@@ -16,32 +16,18 @@ import numpy as np
 
 from .errors import NegativeThreshold
 from .tensor import (
+    _irfft3,
+    _mirror_weights,
     _require_tensor,
+    _rfft3,
     ctranspose,
-    half_spectrum,
     tprod,
 )
 
 
-def _mirror_weights(n3: int) -> np.ndarray:
-    """Multiplicity of each independent Fourier slice; sums to n3."""
-    h = half_spectrum(n3)
-    w = np.full(h, 2.0)
-    w[0] = 1.0
-    if n3 % 2 == 0:
-        w[h - 1] = 1.0
-    return w
-
-
-def _half_slices(a: np.ndarray) -> np.ndarray:
-    """The independent Fourier slices, stacked as (h, n1, n2)."""
-    n3 = a.shape[2]
-    return np.fft.fft(a, axis=2).transpose(2, 0, 1)[: half_spectrum(n3)]
-
-
 def _slice_svals(a: np.ndarray) -> np.ndarray:
     """Per-slice singular values, shape (h, min(n1, n2))."""
-    return np.linalg.svd(_half_slices(a), compute_uv=False)
+    return np.linalg.svd(_rfft3(a), compute_uv=False)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -81,7 +67,7 @@ class TSvdFactors:
 
 
 def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
-         rank_tol: float = 1e-6, check_mirrors: bool = False) -> TSvdFactors:
+         rank_tol: float = 1e-6) -> TSvdFactors:
     """Factor a tensor as u * s * v^H via per-slice SVDs.
 
     Parameters
@@ -91,16 +77,12 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
         the tubal rank at rank_tol (or to the caller-supplied k).
     k : explicit number of components for skinny mode.
     rank_tol : relative threshold used to count nonzero singular values.
-    check_mirrors : recompute the mirrored slices directly and verify the
-        copied factors reproduce them to 1e-10 (debug aid).
     """
     a = _require_tensor(a)
     if mode not in ("full", "skinny"):
         raise ValueError(f"mode must be 'full' or 'skinny', got {mode!r}")
     n1, n2, n3 = a.shape
-    h = half_spectrum(n3)
-    fa = np.fft.fft(a, axis=2).transpose(2, 0, 1)
-    ub, sb, vhb = np.linalg.svd(fa[:h], full_matrices=False)
+    ub, sb, vhb = np.linalg.svd(_rfft3(a), full_matrices=False)
 
     if mode == "skinny":
         if k is None:
@@ -113,29 +95,9 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
         k = min(n1, n2)
     ub, sb, vhb = ub[:, :, :k], sb[:, :k], vhb[:, :k, :]
 
-    fu = np.empty((n3, n1, k), dtype=complex)
-    fs = np.zeros((n3, k, k), dtype=complex)
-    fv = np.empty((n3, n2, k), dtype=complex)
-    fu[:h] = ub
-    fv[:h] = vhb.conj().transpose(0, 2, 1)
-    for i in range(h):
-        np.fill_diagonal(fs[i], sb[i])
-    for idx in range(h, n3):
-        fu[idx] = np.conj(fu[n3 - idx])
-        fs[idx] = fs[n3 - idx]
-        fv[idx] = np.conj(fv[n3 - idx])
-
-    if check_mirrors:
-        for idx in range(h, n3):
-            direct = fa[idx]
-            mirrored = fu[idx] @ fs[idx] @ fv[idx].conj().T
-            scale = max(np.abs(direct).max(), 1.0)
-            if np.abs(mirrored - direct).max() > 1e-10 * scale:
-                raise AssertionError(f"mirrored slice {idx} disagrees with recomputation")
-
-    u = np.ascontiguousarray(np.fft.ifft(fu, axis=0).real.transpose(1, 2, 0))
-    s = np.ascontiguousarray(np.fft.ifft(fs, axis=0).real.transpose(1, 2, 0))
-    v = np.ascontiguousarray(np.fft.ifft(fv, axis=0).real.transpose(1, 2, 0))
+    u = _irfft3(ub, n3)
+    s = _irfft3(sb[:, :, None] * np.eye(k), n3)
+    v = _irfft3(vhb.conj().transpose(0, 2, 1), n3)
     return TSvdFactors(u=u, s=s, v=v, mode=mode)
 
 
@@ -153,7 +115,7 @@ def tnn(a: np.ndarray) -> float:
     """Tensor nuclear norm: sum of tensor singular values.
 
     Computed as 1/n3 times the summed nuclear norms of the Fourier slices,
-    with mirrored slices contributing twice.
+    each independent slice counted with its multiplicity in the spectrum.
     """
     a = _require_tensor(a)
     sv = _slice_svals(a)
@@ -191,16 +153,10 @@ def avg_rank(a: np.ndarray, rel_tol: float = 1e-6) -> float:
 
 def _svt_freq(y: np.ndarray, tau: float):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn)."""
-    n1, n2, n3 = y.shape
-    h = half_spectrum(n3)
-    fy = np.fft.fft(y, axis=2).transpose(2, 0, 1)
-    ub, sb, vhb = np.linalg.svd(fy[:h], full_matrices=False)
+    n3 = y.shape[2]
+    ub, sb, vhb = np.linalg.svd(_rfft3(y), full_matrices=False)
     shr = np.maximum(sb - tau, 0.0)
-    fx = np.empty_like(fy)
-    fx[:h] = (ub * shr[:, None, :]) @ vhb
-    for idx in range(h, n3):
-        fx[idx] = np.conj(fx[n3 - idx])
-    x = np.ascontiguousarray(np.fft.ifft(fx, axis=0).real.transpose(1, 2, 0))
+    x = _irfft3((ub * shr[:, None, :]) @ vhb, n3)
     w = _mirror_weights(n3)
     return x, float((w[:, None] * shr).sum() / n3)
 

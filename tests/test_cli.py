@@ -129,6 +129,13 @@ def test_phase_completion_kind(tmp_path):
     assert row[8] == "1"  # success_rate
 
 
+def test_info_nonfinite_tensor_is_usage_error(tmp_path):
+    path = tmp_path / "nan.t3"
+    tio.write_tensor(path, np.zeros((2, 2, 1)))
+    path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    assert main(["info", str(path)]) == 2
+
+
 def test_info_identity(tmp_path, capsys):
     tio.write_tensor(tmp_path / "i.t3", tb.identity(4, 3))
     assert main(["info", str(tmp_path / "i.t3")]) == 0
@@ -281,3 +288,13 @@ def test_manifest_replay_recover_bitwise(tmp_path):
     assert main(["replay", str(first / "manifest.json"),
                  "--out", str(replay_out)]) == 0
     assert _dir_bytes(first) == _dir_bytes(replay_out)
+
+
+def test_replay_rejects_bad_manifest(tmp_path):
+    path = tmp_path / "manifest.json"
+    for text in ['{"format": 99, "subcommand": "gen"}',
+                 '{"format": 1, "subcommand": "gen"}',
+                 '["gen"]',
+                 '{"format": 1,']:
+        path.write_text(text)
+        assert main(["replay", str(path), "--out", str(tmp_path / "r")]) == 2

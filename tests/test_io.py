@@ -5,7 +5,7 @@ import pytest
 
 import tubal as tb
 from tubal import io as tio
-from tubal.errors import UnsupportedFormat
+from tubal.errors import NonFiniteValues, UnsupportedFormat
 
 RNG = np.random.default_rng(90210)
 
@@ -40,8 +40,29 @@ def test_tensor_file_errors(tmp_path):
     path.write_bytes(b"XXXX" + bytes(29))
     with pytest.raises(UnsupportedFormat):
         tio.read_tensor(path)
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValues):
         tio.write_tensor(tmp_path / "nan.t3", np.full((1, 1, 1), np.nan))
+    tio.write_tensor(path, np.zeros((1, 2, 1)))
+    path.write_bytes(path.read_bytes()[:-8] + np.array([np.inf], dtype="<f8").tobytes())
+    with pytest.raises(NonFiniteValues):
+        tio.read_tensor(path)
+
+
+def test_truncated_and_oversized_files(tmp_path):
+    t3 = tmp_path / "a.t3"
+    tio.write_tensor(t3, RNG.standard_normal((2, 3, 2)))
+    good = t3.read_bytes()
+    huge = good[:5] + np.array([2 ** 40, 1, 1], dtype="<u8").tobytes() + good[29:]
+    om = tmp_path / "m.om"
+    tio.write_mask(om, tb.make_bernoulli_mask((5, 4, 3), 0.4, seed=17))
+    for path, data, reader in [(t3, good[:-3], tio.read_tensor),
+                               (t3, good[:20], tio.read_tensor),
+                               (t3, huge, tio.read_tensor),
+                               (om, om.read_bytes()[:-2], tio.read_mask),
+                               (om, om.read_bytes()[:30], tio.read_mask)]:
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormat):
+            reader(path)
 
 
 def test_mask_file_round_trip(tmp_path):
@@ -87,9 +108,13 @@ def test_image_format_errors(tmp_path):
     path.write_bytes(b"P3\n2 2\n255\n")
     with pytest.raises(UnsupportedFormat):
         tio.read_image(path)
-    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-    with pytest.raises(UnsupportedFormat):
-        tio.read_image(path)
+    for data in [b"P5\n2 2\n65535\n" + bytes(8),
+                 b"P5\n2 x\n255\n" + bytes(4),
+                 b"P5\n2 2\n255\n" + bytes(3),
+                 b"P6\n%d 1\n255\n" % 2 ** 62 + bytes(6)]:
+        path.write_bytes(data)
+        with pytest.raises(UnsupportedFormat):
+            tio.read_image(path)
 
 
 def test_image_tensor_layout():

@@ -156,6 +156,20 @@ def test_run_table1_empty_and_error_rows():
     assert "error" in rows[0]
 
 
+def test_drivers_propagate_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("solver bug")
+
+    monkeypatch.setattr("tubal.lab.solve_gaussian", broken)
+    monkeypatch.setattr("tubal.lab.solve_completion", broken)
+    with pytest.raises(TypeError):
+        tb.run_table1([(4, 2, 1, 43)])
+    with pytest.raises(TypeError):
+        tb.run_table2([(4, 2, 1, 0.9)])
+    with pytest.raises(TypeError):
+        tb.phase_grid("completion", (4, 4, 2), values=[0.9], ranks=[1], trials=1)
+
+
 def test_run_table1_small_row():
     rows = tb.run_table1([(4, 2, 1, tb.gaussian_bound(4, 4, 2, 1))], base_seed=3)
     row = rows[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import DimMismatch
+from tubal.errors import DimMismatch, NonFiniteValues
 from tubal.solve import AdmmConfig, _penalty
 
 RNG = np.random.default_rng(31337)
@@ -64,6 +64,23 @@ def test_gaussian_dim_mismatch():
     gmap = tb.make_gaussian_map(10, (2, 2, 2), seed=0)
     with pytest.raises(DimMismatch):
         tb.solve_gaussian(gmap, np.zeros(11))
+
+
+def test_solvers_reject_nonfinite_data():
+    gmap = tb.make_gaussian_map(10, (2, 2, 2), seed=0)
+    y = np.zeros(10)
+    y[3] = np.nan
+    with pytest.raises(NonFiniteValues):
+        tb.solve_gaussian(gmap, y)
+    mask = tb.make_bernoulli_mask((3, 3, 2), 0.5, seed=0)
+    m_obs = np.zeros((3, 3, 2))
+    m_obs[tuple(np.argwhere(mask.observed)[0])] = np.inf
+    with pytest.raises(NonFiniteValues):
+        tb.solve_completion(mask, m_obs)
+    # unobserved entries are discarded before the check
+    m_obs = np.where(mask.observed, 0.0, np.nan)
+    _, report = tb.solve_completion(mask, m_obs)
+    assert report.converged
 
 
 def test_gaussian_not_converged_report():

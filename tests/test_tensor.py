@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import DimMismatch, IndexOutOfRange, LengthMismatch, SymmetryViolation
+from tubal.errors import (
+    DimMismatch,
+    IndexOutOfRange,
+    LengthMismatch,
+    NonFiniteValues,
+    SymmetryViolation,
+)
 
 RNG = np.random.default_rng(20240601)
 
@@ -89,8 +95,8 @@ def test_tprod_matches_oracle(trial):
 
 
 def test_tprod_mirrored_slices_match_full_spectrum():
-    # the product computes only the first n3//2+1 frequency slices and
-    # mirrors the rest; the all-slices path must agree to 1e-12
+    # the product computes only the n3//2+1 independent frequency slices;
+    # the all-slices path must agree to 1e-12
     for trial in range(10):
         gen = np.random.default_rng(2000 + trial)
         n3 = int(gen.integers(2, 7))
@@ -252,5 +258,5 @@ def test_basis_index_errors():
 def test_validate_tensor_rejects_nonfinite():
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteValues):
         tb.validate_tensor(bad)

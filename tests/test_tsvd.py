@@ -10,7 +10,8 @@ def _rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 3), (5, 3, 4), (3, 6, 1), (2, 2, 5), (6, 5, 2)])
+@pytest.mark.parametrize("shape", [(4, 4, 3), (5, 3, 4), (3, 6, 1), (2, 2, 5), (6, 5, 2),
+                                   (3, 5, 6)])
 def test_tsvd_reconstruction_and_orthogonality(shape):
     a = _rand(shape, sum(shape))
     f = tb.tsvd(a)
@@ -63,9 +64,9 @@ def test_tsvd_skinny_zero_tensor():
     assert np.abs(f.compose()).max() == 0.0
 
 
-def test_tsvd_mirror_check_flag():
+def test_tsvd_compose_odd_n3():
     a = _rand((4, 4, 5), 73)
-    f = tb.tsvd(a, check_mirrors=True)
+    f = tb.tsvd(a)
     assert np.linalg.norm(f.compose() - a) <= 1e-9 * np.linalg.norm(a)
 
 
@@ -135,7 +136,7 @@ def test_svt_trivial_and_matrix_cases():
 
 
 def _svt_slice_oracle(y, tau):
-    """Independent path: threshold every frequency slice, no mirroring."""
+    """Independent path: threshold every slice of the full spectrum."""
     f = tb.fft_dim3(y)
     out = np.empty_like(f)
     for k in range(y.shape[2]):
@@ -145,9 +146,10 @@ def _svt_slice_oracle(y, tau):
 
 
 def test_svt_matches_slice_oracle():
-    y = _rand((4, 4, 3), 81)
-    out = tb.svt(y, 0.5)
-    assert np.abs(out - _svt_slice_oracle(y, 0.5)).max() <= 1e-9
+    for shape in [(4, 4, 3), (3, 5, 2), (5, 3, 4), (4, 6, 6), (2, 3, 1)]:
+        y = _rand(shape, 81)
+        out = tb.svt(y, 0.5)
+        assert np.abs(out - _svt_slice_oracle(y, 0.5)).max() <= 1e-9
 
 
 def test_svt_minimizes_objective():
