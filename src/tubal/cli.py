@@ -218,6 +218,13 @@ _RUNNERS = {
 }
 
 
+class _ManifestParams(dict):
+    """Replayed params: a key the runner reads but the manifest lacks is a usage error."""
+
+    def __missing__(self, key):
+        raise TubalError(f"manifest params lack {key!r}")
+
+
 def run_replay(params, outdir: Path) -> int:
     manifest = io.read_manifest(params["manifest"])
     if not (isinstance(manifest, dict) and manifest.get("format") == 1
@@ -226,7 +233,7 @@ def run_replay(params, outdir: Path) -> int:
     sub = manifest.get("subcommand")
     if sub not in _RUNNERS:
         raise TubalError(f"manifest names unknown subcommand {sub!r}")
-    return _RUNNERS[sub](manifest["params"], outdir)
+    return _RUNNERS[sub](_ManifestParams(manifest["params"]), outdir)
 
 
 def _add_cfg_flags(p):

@@ -117,11 +117,16 @@ def rel_error(xhat: np.ndarray, x0: np.ndarray) -> float:
 
 
 def psnr(xhat: np.ndarray, m: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB against peak value ||m||_inf."""
+    """Peak signal-to-noise ratio in dB against peak value ||m||_inf.
+
+    inf when xhat equals m; -inf when m is all zero and xhat is not.
+    """
     peak = float(np.abs(m).max())
     mse = float(((xhat - m) ** 2).mean())
     if mse == 0.0:
         return float("inf")
+    if peak == 0.0:
+        return float("-inf")
     return 10.0 * math.log10(peak ** 2 / mse)
 
 

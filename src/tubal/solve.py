@@ -6,6 +6,16 @@ singular-value-thresholding step with a linear solve against (A^T A + I).
 `solve_completion` recovers a tensor from observed entries by carrying the
 unobserved part in an explicit slack tensor.
 
+The Gaussian solver thresholds with the full batched SVD on every
+iteration.  The completion solver keeps a `tsvd._SvtState` for the solve,
+so each SVT call takes the cheapest of three paths (see `tsvd`): an exact
+zero when every Fourier slice's Frobenius norm is at most tau (the first
+iterations, where tau = 1/mu is large); a truncated SVD from a sketch
+warm-started with the last call's kept right singular vectors, accepted only
+when its Ritz margin, spare columns and right residual pass the
+certificate; otherwise the full SVD.  `SolverReport.svt_paths` counts the
+calls per path; it stays out of every file the CLI writes.
+
 Both run the same loop, `_admm`: penalty mu_k = min(mu0 * rho^k, mu_max)
 and infinity-norm stopping criteria checked each iteration.  Hitting the
 iteration cap is not an exception; the report comes back with
@@ -21,7 +31,7 @@ import scipy.linalg
 from .errors import DimMismatch
 from .sensing import GaussianMap, SampleMask, proj_omega, proj_omega_c
 from .tensor import _require_finite, unvec, vec
-from .tsvd import _svt_freq
+from .tsvd import _SvtState, _svt_freq
 
 
 @dataclass
@@ -53,19 +63,21 @@ class SolverReport:
     objective: float
     wall_time: float
     history: list | None = field(default=None, repr=False)
+    svt_paths: dict = field(default_factory=dict)  # SVT calls per path: zero, truncated, full
 
 
 def _penalty(cfg: AdmmConfig, k: int) -> float:
     return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
 
 
-def _admm(cfg: AdmmConfig, step, t0: float):
+def _admm(cfg: AdmmConfig, step, t0: float, svt_paths: dict | None = None):
     """Run the shared ADMM schedule around one solver's update.
 
     step(mu) performs one iteration at penalty mu and returns
     (x, objective, residuals); the loop stops once every residual is at most
-    cfg.eps or after cfg.max_iter iterations.  t0 is the solver's start time.
-    Returns the last x and its SolverReport.
+    cfg.eps or after cfg.max_iter iterations.  t0 is the solver's start time;
+    svt_paths counts the step's SVT calls per path, and None means every
+    call took the full SVD.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
     for k in range(cfg.max_iter):
@@ -84,6 +96,8 @@ def _admm(cfg: AdmmConfig, step, t0: float):
         objective=objective,
         wall_time=time.perf_counter() - t0,
         history=history,
+        svt_paths=svt_paths if svt_paths is not None else
+        {"zero": 0, "truncated": 0, "full": k + 1},
     )
     return x, report
 
@@ -165,10 +179,11 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     x = np.zeros(mask.dims)
     e = np.zeros(mask.dims)
     dual = np.zeros(mask.dims)
+    svt_state = _SvtState()
 
     def step(mu):
         nonlocal x, e, dual
-        x_new, objective = _svt_freq(m_obs - e + dual / mu, 1.0 / mu)
+        x_new, objective = _svt_freq(m_obs - e + dual / mu, 1.0 / mu, svt_state)
         e_new = proj_omega_c(mask, m_obs - x_new + dual / mu)
         gap = m_obs - x_new - e_new
         dual = dual + mu * gap
@@ -180,4 +195,4 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
         x, e = x_new, e_new
         return x, objective, residuals
 
-    return _admm(cfg, step, t0)
+    return _admm(cfg, step, t0, svt_state.paths)

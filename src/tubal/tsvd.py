@@ -8,13 +8,54 @@ count each slice with its multiplicity in the full spectrum.
 Singular values of the tensor are the diagonal entries of the first frontal
 slice of the middle factor; they equal the per-slice singular values
 averaged across the spectrum, hence are nonnegative and non-increasing.
+
+The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  Without a
+state, which is how `svt` and `solve_gaussian` call it, every slice takes
+the full batched SVD.  With a `_SvtState`, which `solve_completion` keeps
+for one solve, each call takes one of three paths:
+
+- zero: when every slice's Frobenius norm is at most tau, no singular value
+  exceeds tau and the result is exactly zero; no SVD runs;
+- truncated: a randomized range finder (Halko, Martinsson & Tropp, SIAM
+  Rev. 2011) on the test block [V_prev | G], with V_prev the right singular
+  vectors the last call kept and G a fixed Gaussian block, followed by
+  power steps and a Rayleigh-Ritz SVD of Q^H F;
+- full: the batched SVD, for slices smaller than `_MIN_SIDE` or twice the
+  sketch width, when there is no last spectrum (a fresh state, or a zero
+  last call), when the last spectrum predicts more than `_POWER_CAP` power
+  steps, or when the certificate still fails after them.
+
+The prediction takes rho = sigma_l / sigma_k from the last spectrum, with
+k the rank it keeps at this tau and k >= 1 on slices that keep nothing: a
+spectrum without a gap (full tubal rank) gives rho near 1 and the full SVD.
+
+The truncated result is accepted only if, on every slice, the largest Ritz
+value not kept is at most `_TAIL_MARGIN` * tau, the kept rank leaves
+`_SPARE` sketch columns unused, and the right residual
+||F V_k - U_k S_k||_F is at most `_RESIDUAL_TOL` times the top Ritz value.
+The left equation U_k^H F = S_k V_k^H holds exactly by construction, so the
+residual bounds the distance to an exact factorization of F plus a tail
+orthogonal to the kept triplets; since the SVT is 1-Lipschitz, it bounds
+the slice's error as long as that tail stays below tau.  The Ritz margin,
+the spare columns and the power steps are what make a tail singular value
+above tau that the sketch missed improbable; they do not rule it out the
+way the zero path's norm test does.  Without the rule that a sketch needs
+a last spectrum, an 8-column cold sketch of a gapless spectrum can read its
+top value low by more than the margin and return zero for a slice whose
+sigma_1 exceeds tau (seen on fully observed 36x36x3 Gaussian noise).
+G is drawn from a fixed substream keyed by the slice shape and width, so
+each call is a pure function of its input and the state, and solves replay
+bit for bit.
 """
+
+import math
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeThreshold
+from .rng import substream
 from .tensor import (
     _irfft3,
     _mirror_weights,
@@ -151,14 +192,147 @@ def avg_rank(a: np.ndarray, rel_tol: float = 1e-6) -> float:
     return float((w * counts).sum() / a.shape[2])
 
 
-def _svt_freq(y: np.ndarray, tau: float):
-    """Soft-threshold singular values per Fourier slice; returns (tensor, tnn)."""
-    n3 = y.shape[2]
-    ub, sb, vhb = np.linalg.svd(_rfft3(y), full_matrices=False)
-    shr = np.maximum(sb - tau, 0.0)
-    x = _irfft3((ub * shr[:, None, :]) @ vhb, n3)
+# Rank-adaptive SVT; CHANGES.md records the measurement behind each number.
+_OVERSAMPLE = 8        # sketch width l = last kept rank + _OVERSAMPLE
+_SPARE = 4             # accept only a kept rank of at most l - _SPARE
+_TAIL_MARGIN = 0.95    # every Ritz value not kept must be <= _TAIL_MARGIN * tau
+_RESIDUAL_TOL = 1e-10  # right residual, relative to the slice's top Ritz value
+_POWER_CAP = 8         # power steps before the full SVD takes over
+_STEP_TARGET = 1e-8    # predicted steps: least q with rho^(2q+3) <= _STEP_TARGET
+_MIN_SIDE = 32         # slices with a smaller side always take the full SVD
+
+
+class _SvtState:
+    """What the SVT calls of one solve carry from one call to the next.
+
+    v: (h, n2, k) right singular vectors of the last call's kept columns, or
+    None; svals: (h, >= k) the leading singular (or Ritz) values it saw, or
+    None; paths: calls per path.  A fresh state knows no spectrum, so its
+    first call takes the full SVD.
+    """
+
+    def __init__(self):
+        self.v = None
+        self.svals = None
+        self.paths = {"zero": 0, "truncated": 0, "full": 0}
+        self._gauss = {}
+
+    def gauss(self, h: int, n1: int, n2: int, l: int) -> np.ndarray:
+        """The fixed (h, n2, _OVERSAMPLE) complex Gaussian block for this slice shape and l."""
+        key = (h, n1, n2, l)
+        if key not in self._gauss:
+            z = substream(0, "svt-sketch", h, n1, n2, l).standard_normal((2, h, n2, _OVERSAMPLE))
+            self._gauss[key] = z[0] + 1j * z[1]
+        return self._gauss[key]
+
+
+def _threshold(u, s, vh, tau: float, n3: int):
+    """Rebuild the thresholded tensor from the kept columns of per-slice factors."""
+    shr = np.maximum(s - tau, 0.0)
+    k = int((shr > 0.0).sum(axis=1).max()) if shr.size else 0
+    x = _irfft3((u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k], n3)
     w = _mirror_weights(n3)
     return x, float((w[:, None] * shr).sum() / n3)
+
+
+def _orth(a: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(a)[0]
+
+
+def _predicted_steps(svals, l: int, tau: float) -> float:
+    """Power steps a warm sketch of width l should need at tau, from the last spectrum.
+
+    The rank k is guessed per slice from the last spectrum at this tau; a
+    slice that keeps nothing must still resolve its top value, so k >= 1
+    there.  rho = sigma_l / sigma_k is taken at the worst slice, and the warm
+    start counts as one step, so q steps leave an error of about
+    rho^(2q+3).  With no last spectrum nothing can be predicted.
+    """
+    if svals is None:
+        return math.inf
+    kept = (svals > tau).sum(axis=1)
+    if kept.max() > l - _SPARE:
+        return math.inf
+    top = svals[np.arange(svals.shape[0]), np.maximum(kept, 1) - 1]
+    sigma_l = svals[:, min(l, svals.shape[1]) - 1]
+    rho = float((sigma_l[top > 0] / top[top > 0]).max(initial=0.0))
+    if rho >= 1.0:
+        return math.inf
+    if rho == 0.0:
+        return 0
+    return max(0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
+
+
+def _certified(f, u, s, vh, tau: float, l: int) -> bool:
+    """Whether the sketch's kept triplets pass the certificate of the module docstring."""
+    kept = s > tau
+    k = int(kept.sum(axis=1).max())
+    if k > l - _SPARE or (~kept & (s > _TAIL_MARGIN * tau)).any():
+        return False
+    res = np.abs(f @ vh[:, :k].conj().transpose(0, 2, 1) - u * s[:, None, :k]) ** 2
+    res = np.sqrt(np.where(kept[:, :k], res.sum(axis=1), 0.0).sum(axis=1))
+    return bool((res <= _RESIDUAL_TOL * s[:, 0]).all())
+
+
+def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState):
+    """Kept singular triplets (u, s, vh) of every slice from a warm sketch, or None.
+
+    u holds only the columns some slice keeps; s holds all l Ritz values.
+    None hands the call to the full SVD (see the module docstring).
+    """
+    h, n1, n2 = f.shape
+    k_prev = 0 if state.v is None else state.v.shape[2]
+    l = k_prev + _OVERSAMPLE
+    if min(n1, n2) < max(_MIN_SIDE, 2 * l):
+        return None
+    steps = _predicted_steps(state.svals, l, tau)
+    if steps > _POWER_CAP:
+        return None
+    omega = state.gauss(h, n1, n2, l)
+    if k_prev:
+        omega = np.concatenate([state.v, omega], axis=2)
+    fh = f.conj().transpose(0, 2, 1)
+    q = _orth(f @ omega)
+    for _ in range(steps):
+        q = _orth(f @ _orth(fh @ q))
+    while True:
+        ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ f, full_matrices=False)
+        k = int((s > tau).sum(axis=1).max())
+        u = q @ ub[:, :, :k]
+        if _certified(f, u, s, vh, tau, l):
+            return u, s, vh[:, :k]
+        if steps == _POWER_CAP:
+            return None
+        q = _orth(f @ _orth(fh @ q))
+        steps += 1
+
+
+def _svt_freq(y: np.ndarray, tau: float, state: _SvtState | None = None):
+    """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
+
+    Without a state every slice takes the full SVD; with one, the call takes
+    the zero, truncated or full path of the module docstring and leaves its
+    kept right vectors and spectrum in the state for the next call.
+    """
+    n3 = y.shape[2]
+    f = _rfft3(y)
+    if state is None:
+        return _threshold(*np.linalg.svd(f, full_matrices=False), tau, n3)
+    if np.linalg.norm(f, axis=(1, 2)).max() <= tau:
+        state.v = state.svals = None
+        state.paths["zero"] += 1
+        return np.zeros(y.shape), 0.0
+    factors = _truncated_svd(f, tau, state)
+    path = "truncated"
+    if factors is None:
+        factors = np.linalg.svd(f, full_matrices=False)
+        path = "full"
+    state.paths[path] += 1
+    u, s, vh = factors
+    k = int((s > tau).sum(axis=1).max())
+    state.v = vh[:, :k].conj().transpose(0, 2, 1) if k else None
+    state.svals = s
+    return _threshold(u, s, vh, tau, n3)
 
 
 def svt(y: np.ndarray, tau: float) -> np.ndarray:

@@ -1,7 +1,14 @@
 import numpy as np
+from hypothesis import settings
 
 import tubal as tb
 from tubal.rng import substream
+
+# Property tests draw the same examples on every run and leave no example
+# database behind; solver-sized examples may take longer than the default
+# deadline.
+settings.register_profile("tubal", derandomize=True, database=None, deadline=None)
+settings.load_profile("tubal")
 
 
 def positive_low_tubal(n1, n2, n3, r, seed):

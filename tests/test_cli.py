@@ -295,6 +295,7 @@ def test_replay_rejects_bad_manifest(tmp_path):
     for text in ['{"format": 99, "subcommand": "gen"}',
                  '{"format": 1, "subcommand": "gen"}',
                  '["gen"]',
-                 '{"format": 1,']:
+                 '{"format": 1,',
+                 '{"format": 1, "subcommand": "gen", "params": {"n1": 3}}']:
         path.write_text(text)
         assert main(["replay", str(path), "--out", str(tmp_path / "r")]) == 2

@@ -148,6 +148,9 @@ def test_rel_error_and_psnr():
     m[0, 0, 0] = 1.0
     xhat = m + 0.1
     assert tb.psnr(xhat, m) == pytest.approx(20.0)
+    zero = np.zeros((2, 2, 2))
+    assert tb.psnr(np.ones((2, 2, 2)), zero) == float("-inf")
+    assert tb.psnr(zero, zero) == float("inf")
 
 
 def test_run_table1_empty_and_error_rows():

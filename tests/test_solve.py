@@ -1,11 +1,16 @@
 """ADMM solvers: trivial cases, small exact recovery, schedule invariants."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import tubal as tb
 from tubal.errors import DimMismatch, NonFiniteValues
 from tubal.solve import AdmmConfig, _penalty
+
+# the package exports the function tsvd under the module's name
+tsvd_module = importlib.import_module("tubal.tsvd")
 
 RNG = np.random.default_rng(31337)
 
@@ -104,6 +109,7 @@ def test_gaussian_deterministic_and_history():
     assert len(r1.history) == r1.iterations
     for row1, row2 in zip(r1.history, r2.history):
         assert row1 == row2
+    assert r1.svt_paths == {"zero": 0, "truncated": 0, "full": r1.iterations}
     mus = [row["mu"] for row in r1.history]
     cfg0 = AdmmConfig()
     assert mus == [min(cfg0.mu0 * cfg0.rho ** k, cfg0.mu_max)
@@ -155,3 +161,34 @@ def test_completion_residual_names_and_history():
     assert report.converged
     assert all(v <= cfg.eps for v in report.residuals.values())
     assert len(report.history) == report.iterations
+
+
+def _completion(dims, r, p, seed):
+    if r is None:  # full tubal rank
+        m_full = np.random.default_rng(seed).standard_normal(dims)
+    else:
+        m_full = tb.rand_low_tubal(*dims, r, seed=seed, scale="inv_n")
+    mask = tb.make_bernoulli_mask(dims, p, seed=seed + 1)
+    xhat, report = tb.solve_completion(mask, tb.proj_omega(mask, m_full))
+    assert sum(report.svt_paths.values()) == report.iterations
+    return m_full, xhat, report
+
+
+def test_completion_svt_paths():
+    m_full, xhat, report = _completion((64, 64, 32), 3, 0.5, seed=71)
+    assert report.converged and tb.rel_error(xhat, m_full) <= 1e-6
+    assert report.svt_paths["zero"] > 0 and report.svt_paths["truncated"] > 0
+    # slices below the minimum side, and a spectrum with no gap, stay on the full SVD
+    for dims, r, p in [((20, 20, 5), 2, 0.7), ((40, 40, 4), None, 0.9)]:
+        _, _, report = _completion(dims, r, p, seed=73)
+        assert report.svt_paths["truncated"] == 0 and report.svt_paths["full"] > 0
+
+
+def test_completion_iterations_match_full_svd(monkeypatch):
+    rows = [(50, 50, 3, 0.47), (50, 50, 5, 0.57)]
+    adaptive = tb.run_table2(rows)
+    monkeypatch.setattr(tsvd_module, "_MIN_SIDE", 10 ** 9)
+    full = tb.run_table2(rows)
+    for a, b in zip(adaptive, full):
+        assert a["iterations"] == b["iterations"]
+        assert a["rel_error"] == pytest.approx(b["rel_error"], rel=1e-3)

@@ -1,10 +1,17 @@
 """Spectral toolkit: factorization quality, norm identities, thresholding."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubal as tb
 from tubal.errors import NegativeThreshold
+
+# the package exports the function tsvd under the module's name
+tsvd_module = importlib.import_module("tubal.tsvd")
 
 def _rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
@@ -188,3 +195,79 @@ def test_matrix_reduction_suite(trial):
     u, s, vh = np.linalg.svd(flat, full_matrices=False)
     expected = (u * np.maximum(s - tau, 0.0)) @ vh
     assert np.abs(tb.svt(m, tau)[:, :, 0] - expected).max() <= 1e-10
+
+
+def _assert_matches_full_svt(y, tau, state):
+    """The stateful SVT agrees with the stateless full-SVD one.
+
+    The certificate bounds each slice's error by 1e-10 times its top
+    singular value, so x is compared at the scale of the input y.
+    """
+    x, t = tsvd_module._svt_freq(y, tau, state)
+    x_ref, t_ref = tsvd_module._svt_freq(y, tau)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(y)
+    assert abs(t - t_ref) <= 1e-10 * t_ref
+
+
+@settings(max_examples=40)
+@given(n1=st.integers(32, 44), n2=st.integers(32, 44), n3=st.integers(1, 5),
+       r=st.integers(1, 4), log_noise=st.floats(-4.0, -0.5), frac=st.floats(0.02, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_stateful_svt_matches_full_svt(n1, n2, n3, r, log_noise, frac, seed):
+    # a short solve-like sequence: tau shrinks and the input drifts a little
+    gen = np.random.default_rng(seed)
+    low = tb.tprod(gen.standard_normal((n1, r, n3)), gen.standard_normal((r, n2, n3)))
+    noise = 10.0 ** log_noise
+    y = low + noise * gen.standard_normal((n1, n2, n3))
+    tau = frac * tb.spectral_norm(y)
+    state = tsvd_module._SvtState()
+    for _ in range(4):
+        _assert_matches_full_svt(y, tau, state)
+        y = y + 1e-3 * noise * gen.standard_normal(y.shape)
+        tau /= 1.1
+    assert sum(state.paths.values()) == 4
+
+
+def test_svt_zero_path_is_exact():
+    y = _rand((40, 36, 4), 90)
+    # each Fourier slice's Frobenius norm is at most sqrt(n3) * ||y||_F
+    tau = 2.0 * np.linalg.norm(y)
+    state = tsvd_module._SvtState()
+    x, t = tsvd_module._svt_freq(y, tau, state)
+    assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
+    assert state.paths == {"zero": 1, "truncated": 0, "full": 0}
+    assert np.abs(tb.svt(y, tau)).max() == 0.0
+
+
+def _rank_four_slice(tail):
+    """A 40 x 36 x 1 tensor with singular values 10, 8, 6 and `tail`."""
+    gen = np.random.default_rng(91)
+    u = np.linalg.qr(gen.standard_normal((40, 4)))[0]
+    v = np.linalg.qr(gen.standard_normal((36, 4)))[0]
+    return ((u * [10.0, 8.0, 6.0, tail]) @ v.T)[:, :, None]
+
+
+@pytest.mark.parametrize("tail, path", [(0.98, "full"), (0.5, "truncated")])
+def test_svt_near_threshold_takes_full_path(tail, path):
+    # the first call (full SVD) leaves a spectrum that predicts a cheap
+    # sketch; at tau = 1 a fourth value of 0.98 sits inside the Ritz margin
+    y = _rank_four_slice(tail)
+    state = tsvd_module._SvtState()
+    _assert_matches_full_svt(y, 3.0, state)
+    _assert_matches_full_svt(y, 1.0, state)
+    assert state.paths[path] == 1 + (path == "full")
+
+
+@pytest.mark.parametrize("k_stale", [1, 9])
+def test_svt_stale_right_vectors(k_stale):
+    gen = np.random.default_rng(92)
+    y = tb.tprod(gen.standard_normal((48, 4, 6)), gen.standard_normal((4, 40, 6)))
+    y = y + 1e-2 * gen.standard_normal(y.shape)
+    tau = 0.2 * tb.spectral_norm(y)
+    state = tsvd_module._SvtState()
+    _assert_matches_full_svt(y, tau, state)
+    # right vectors of the wrong rank and unrelated to y
+    v = gen.standard_normal((4, 40, k_stale)) + 1j * gen.standard_normal((4, 40, k_stale))
+    state.v = np.linalg.qr(v)[0]
+    _assert_matches_full_svt(y, tau / 1.1, state)
+    assert sum(state.paths.values()) == 2
