@@ -55,3 +55,11 @@ class FrameSizeMismatch(TubalError):
 
 class NonFiniteValues(TubalError):
     """Input data contains NaN or Inf entries."""
+
+
+class InvalidSolverConfig(TubalError):
+    """ADMM settings outside their valid ranges."""
+
+
+class EmptyTensor(TubalError):
+    """A solver was given a tensor with a zero dimension."""

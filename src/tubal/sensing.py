@@ -42,7 +42,9 @@ def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
     if m * d > _MAP_VALUE_LIMIT:
         raise MapTooLarge(f"dense map of {m} x {d} = {m * d} values exceeds {_MAP_VALUE_LIMIT}")
     gen = substream(seed, "gaussian-map", m, n1, n2, n3)
-    a = (normal_fill(gen, m * d) / np.sqrt(m)).reshape(m, d)
+    a = normal_fill(gen, m * d)
+    a /= np.sqrt(m)  # in place: the map is the largest array the package makes
+    a = a.reshape(m, d)
     return GaussianMap(m=m, dims=(n1, n2, n3), seed=int(seed), a=a)
 
 

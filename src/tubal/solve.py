@@ -6,6 +6,23 @@ singular-value-thresholding step with a linear solve against (A^T A + I).
 `solve_completion` recovers a tensor from observed entries by carrying the
 unobserved part in an explicit slack tensor.
 
+The Gaussian z-update solves (A^T A + I) z = A^T t + v, with
+t = y - lam1/mu and v = vec(lam2)/mu + vec(x), and then sets
+lam1 += mu (A z - y).  The map A is m x d; the system is factored once, on
+one of two paths chosen by its shape:
+
+- m >= d (direct): Cholesky of A^T A + I.  The solver carries
+  w = A^T lam1 in place of lam1, so rhs = A^T y - w/mu + v with A^T y formed
+  once.  The system itself gives A^T A z = rhs - z, so the dual step is
+  w += mu (rhs - z - A^T y), with no pass over the map.  The m-vector
+  A z - y is needed only for the residual res_feas, which is computed only
+  when it can change the outcome (see `_admm`): for a history row, when
+  every other residual is within eps, and on the last iteration.
+- m < d (Woodbury): with K = I + A A^T, (A^T A + I)^-1 = I - A^T K^-1 A
+  gives z = v - A^T q for q = K^-1 (A v - t), and then
+  A z = A v - (K - I) q = t + q, so A z - y = q - lam1/mu exactly.  Each
+  iteration makes two passes over the map and one m x m solve.
+
 The Gaussian solver thresholds with the full batched SVD on every
 iteration.  The completion solver keeps a `tsvd._SvtState` for the solve,
 so each SVT call takes the cheapest of three paths (see `tsvd`): an exact
@@ -28,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch
+from .errors import DimMismatch, EmptyTensor, InvalidSolverConfig
 from .sensing import GaussianMap, SampleMask, proj_omega, proj_omega_c
 from .tensor import _require_finite, unvec, vec
 from .tsvd import _SvtState, _svt_freq
@@ -45,13 +62,13 @@ class AdmmConfig:
 
     def __post_init__(self):
         if not self.rho > 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
+            raise InvalidSolverConfig(f"rho must exceed 1, got {self.rho}")
         if not 0 < self.mu0 <= self.mu_max:
-            raise ValueError(f"need 0 < mu0 <= mu_max, got {self.mu0}, {self.mu_max}")
+            raise InvalidSolverConfig(f"need 0 < mu0 <= mu_max, got {self.mu0}, {self.mu_max}")
         if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+            raise InvalidSolverConfig(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InvalidSolverConfig(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -66,6 +83,11 @@ class SolverReport:
     svt_paths: dict = field(default_factory=dict)  # SVT calls per path: zero, truncated, full
 
 
+def _require_nonempty(dims):
+    if 0 in dims:
+        raise EmptyTensor(f"cannot recover a tensor with a zero dimension: {tuple(dims)}")
+
+
 def _penalty(cfg: AdmmConfig, k: int) -> float:
     return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
 
@@ -75,17 +97,24 @@ def _admm(cfg: AdmmConfig, step, t0: float, svt_paths: dict | None = None):
 
     step(mu) performs one iteration at penalty mu and returns
     (x, objective, residuals); the loop stops once every residual is at most
-    cfg.eps or after cfg.max_iter iterations.  t0 is the solver's start time;
-    svt_paths counts the step's SVT calls per path, and None means every
-    call took the full SVD.  Returns the last x and its SolverReport.
+    cfg.eps or after cfg.max_iter iterations.  A residual may be given as a
+    function of no arguments: it is called only when its value is needed,
+    that is for a history row, when every other residual is at most cfg.eps
+    (only then can the loop stop) and on the last iteration, so every value
+    in the report and the history is computed.  t0 is the solver's start
+    time; svt_paths counts the step's SVT calls per path, and None means
+    every call took the full SVD.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
     for k in range(cfg.max_iter):
         mu = _penalty(cfg, k)
         x, objective, residuals = step(mu)
+        ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
+        if ready or history is not None or k + 1 == cfg.max_iter:
+            residuals = {name: v() if callable(v) else v for name, v in residuals.items()}
         if history is not None:
             history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
-        converged = all(v <= cfg.eps for v in residuals.values())
+        converged = ready and all(v <= cfg.eps for v in residuals.values())
         if converged:
             break
     report = SolverReport(
@@ -105,55 +134,64 @@ def _admm(cfg: AdmmConfig, step, t0: float, svt_paths: dict | None = None):
 def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to A vec(x) = y.
 
-    Returns (x_hat, report).  The linear system (A^T A + I) z = w is
-    factored once; when m < d the Woodbury identity reduces it to an
-    m x m Cholesky solve.
+    Returns (x_hat, report).  The z-update solves (A^T A + I) z = rhs with a
+    Cholesky factor formed once: of A^T A + I when m >= d, whose iterations
+    then never touch the map, and of I + A A^T (Woodbury) when m < d, whose
+    iterations make two passes over it.  See the module docstring.
     """
     cfg = cfg or AdmmConfig()
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != gmap.m:
         raise DimMismatch(f"expected {gmap.m} measurements, got {y.size}")
+    _require_nonempty(gmap.dims)
     _require_finite(y, "measurement vector y")
     t0 = time.perf_counter()
     a = gmap.a
     m, d = a.shape
     dims = gmap.dims
 
+    gram = a @ a.T if m < d else a.T @ a
+    gram[np.diag_indices_from(gram)] += 1.0
+    # gram is symmetric, so its transpose is the Fortran-ordered view that
+    # LAPACK factors in place; gram itself would be copied first
+    factor = scipy.linalg.cho_factor(gram.T, overwrite_a=True, check_finite=False)
+
+    # solve_z(mu, v) returns vec(z) and res_feas; on the direct path res_feas
+    # is a function, because forming A z - y is a pass over the map
     if m < d:
-        # (A^T A + I)^-1 = I - A^T (I_m + A A^T)^-1 A
-        gram = a @ a.T
-        gram[np.diag_indices_from(gram)] += 1.0
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
+        lam1 = np.zeros(m)
 
-        def solve_system(w):
-            return w - a.T @ scipy.linalg.cho_solve(factor, a @ w, check_finite=False)
+        def solve_z(mu, v):
+            nonlocal lam1
+            q = scipy.linalg.cho_solve(factor, a @ v - (y - lam1 / mu), check_finite=False)
+            feas = q - lam1 / mu  # = A z - y
+            lam1 = lam1 + mu * feas
+            return v - a.T @ q, float(np.abs(feas).max())
     else:
-        gram = a.T @ a
-        gram[np.diag_indices_from(gram)] += 1.0
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
+        aty = a.T @ y
+        w = np.zeros(d)  # A^T lam1
 
-        def solve_system(w):
-            return scipy.linalg.cho_solve(factor, w, check_finite=False)
+        def solve_z(mu, v):
+            nonlocal w
+            rhs = aty - w / mu + v
+            z_vec = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            w = w + mu * (rhs - z_vec - aty)  # rhs - z = A^T A z
+            return z_vec, lambda: float(np.abs(a @ z_vec - y).max())
 
     x = np.zeros(dims)
     z = np.zeros(dims)
-    lam1 = np.zeros(m)
     lam2 = np.zeros(dims)
 
     def step(mu):
-        nonlocal x, z, lam1, lam2
+        nonlocal x, z, lam2
         x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu)
-        # the sign sits on the m-vector: negating a.T would copy the whole map
-        rhs = a.T @ (y - lam1 / mu) + vec(lam2) / mu + vec(x_new)
-        z_vec = solve_system(rhs)
+        z_vec, res_feas = solve_z(mu, vec(lam2) / mu + vec(x_new))
         z_new = unvec(z_vec, dims)
-        feas = a @ z_vec - y
-        lam1 = lam1 + mu * feas
         lam2 = lam2 + mu * (x_new - z_new)
         residuals = {
             "res_x": float(np.abs(x_new - x).max()),
             "res_z": float(np.abs(z_new - z).max()),
-            "res_feas": float(np.abs(feas).max()),
+            "res_feas": res_feas,
             "res_gap": float(np.abs(x_new - z_new).max()),
         }
         x, z = x_new, z_new
@@ -172,6 +210,7 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     cfg = cfg or AdmmConfig()
     if tuple(m_obs.shape) != tuple(mask.dims):
         raise DimMismatch(f"tensor shape {m_obs.shape} does not match mask dims {mask.dims}")
+    _require_nonempty(mask.dims)
     t0 = time.perf_counter()
     m_obs = proj_omega(mask, np.asarray(m_obs, dtype=float))
     _require_finite(m_obs, "observed data")

@@ -55,6 +55,14 @@ def test_recover_m_zero_rejected(tmp_path):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+def test_recover_invalid_solver_settings_rejected(tmp_path):
+    gen_out = tmp_path / "gen"
+    main(["gen", "3", "3", "2", "1", "--out", str(gen_out)])
+    for flags in (["--rho", "1.0"], ["--max-iter", "0"]):
+        assert main(["recover", str(gen_out / "x0.t3"), "--m", "50", *flags,
+                     "--out", str(tmp_path / "r")]) == 2
+
+
 def test_recover_not_converged_exit_code(tmp_path):
     gen_out = tmp_path / "gen"
     main(["gen", "4", "4", "2", "1", "--seed", "3", "--out", str(gen_out)])

@@ -1,5 +1,7 @@
 """Measurement models: reproducibility, statistics, adjointness, projections."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,46 @@ def test_normal_fill_statistics():
     z = tb.normal_fill(tb.substream(11, "stats"), 200000)
     assert abs(z.mean()) <= 5 / np.sqrt(z.size)
     assert abs(z.var() - 1.0) <= 0.02
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the little-endian bytes, pinned from the unchunked Box-Muller
+# transform; 65536 deviates are one chunk of angle uniforms
+_FILL_DIGESTS = [
+    (1, "8e8546ea390f99c02adefb3e1c37555d6d4a4c1662c0cb21d4b9c21c5c45fd87"),
+    (2, "3877fc88bbcf9903b3af62be6fe59d0de7d83f893974ad4fb128bee4d81ad1ec"),
+    (9, "8ce516c7c29da200df25b1689c937361a05c9981ffe637ce8ebf8ac0fac64d9b"),
+    (65534, "5baf373c0ef6b3e903f41c4fe1d6b27a7db8dc0861a75d6df38410708405394b"),
+    (65535, "8bbb91077ef44a1cdd4b316cdc9b1c0d2e0f25b2b86e53fc3cd57a99b3c5c2a9"),
+    (65536, "08131ac4b7b5c58549a70fe16d38a54c9d314533fce15ae755eb40bbe60b702e"),
+    (65537, "4fd57a828e86e1138c73c2a9cd8d7b022056f54478c7cd92568e4d22bb967a0b"),
+    (65538, "388681cb709dd1b3e954f2f1e8fa8325a68612c2f13975971872bd7c44a393b3"),
+    (163841, "185921bdf5672dad7b263f35c46ff383a5a658a4e1382cf84bcd86a8e51f5c10"),
+]
+
+
+@pytest.mark.parametrize("count, digest", _FILL_DIGESTS)
+def test_normal_fill_golden(count, digest):
+    assert _digest(tb.normal_fill(tb.substream(5, "golden", count), count)) == digest
+
+
+def test_random_streams_golden():
+    # consecutive fills continue one stream, as in rand_low_tubal
+    gen = tb.substream(5, "golden-pair")
+    pair = np.concatenate([tb.normal_fill(gen, 7), tb.normal_fill(gen, 10)])
+    assert _digest(pair) == "242f428701b21e2e8e0ce0d2f90aa6011f70c976724591dd48c6f0e757825d55"
+    maps = [
+        # direct
+        (541, (10, 10, 5), "a7f87430aa882a360ddde433a09f92eab6d1707e796af3a7d28bb89215444458"),
+        # Woodbury
+        (301, (10, 10, 5), "a90d8e2640a1450c00b2cd92011f6fe06eb014d2c9df98dbfff20d5ffa490e3e"),
+        # odd m * d
+        (25, (3, 3, 1), "127aaed0be481fd97fac38e7ffbf8e3cbe7785bf1784008d4e582d45e8474173"),
+    ]
+    for m, dims, digest in maps:
+        assert _digest(tb.make_gaussian_map(m, dims, 7).a) == digest
+    x = tb.rand_low_tubal(7, 5, 3, 2, seed=9)
+    assert _digest(x) == "b8256b2106d401e62d1685b9399a4b55d4653054a23b6922588d7009e8b81163"

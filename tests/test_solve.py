@@ -1,13 +1,17 @@
 """ADMM solvers: trivial cases, small exact recovery, schedule invariants."""
 
 import importlib
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tubal as tb
-from tubal.errors import DimMismatch, NonFiniteValues
-from tubal.solve import AdmmConfig, _penalty
+from tubal.errors import DimMismatch, EmptyTensor, InvalidSolverConfig, NonFiniteValues
+from tubal.solve import AdmmConfig, _admm, _penalty
+from tubal.tensor import unvec, vec
+from tubal.tsvd import _svt_freq
 
 # the package exports the function tsvd under the module's name
 tsvd_module = importlib.import_module("tubal.tsvd")
@@ -16,15 +20,15 @@ RNG = np.random.default_rng(31337)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(rho=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(mu0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(mu0=1.0, mu_max=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(eps=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(max_iter=0)
 
 
@@ -58,11 +62,73 @@ def test_gaussian_woodbury_and_direct_paths_agree():
     # m < d exercises the Woodbury branch; m >= d the direct factorization
     x0 = tb.rand_low_tubal(4, 4, 3, 1, seed=11)
     d = 48
-    for m in (d - 5, d + 5):
+    for m in (d - 5, d - 1, d, d + 1, d + 5):
         gmap = tb.make_gaussian_map(m, (4, 4, 3), seed=13)
         xhat, report = tb.solve_gaussian(gmap, tb.apply_map(gmap, x0))
         assert report.converged
         assert tb.rel_error(xhat, x0) <= 1e-4
+
+
+def _reference_solve_gaussian(gmap, y, cfg):
+    """The z-update with explicit passes: A^T (y - lam1/mu) and A z - y every iteration."""
+    a = gmap.a
+    m, d = a.shape
+    gram = a @ a.T if m < d else a.T @ a
+    gram[np.diag_indices_from(gram)] += 1.0
+    factor = scipy.linalg.cho_factor(gram)
+
+    def solve_system(w):
+        if m < d:
+            return w - a.T @ scipy.linalg.cho_solve(factor, a @ w)
+        return scipy.linalg.cho_solve(factor, w)
+
+    x, z, lam2 = (np.zeros(gmap.dims) for _ in range(3))
+    lam1 = np.zeros(m)
+
+    def step(mu):
+        nonlocal x, z, lam1, lam2
+        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu)
+        z_vec = solve_system(a.T @ (y - lam1 / mu) + vec(lam2) / mu + vec(x_new))
+        z_new = unvec(z_vec, gmap.dims)
+        feas = a @ z_vec - y
+        lam1 = lam1 + mu * feas
+        lam2 = lam2 + mu * (x_new - z_new)
+        residuals = {
+            "res_x": float(np.abs(x_new - x).max()),
+            "res_z": float(np.abs(z_new - z).max()),
+            "res_feas": float(np.abs(feas).max()),
+            "res_gap": float(np.abs(x_new - z_new).max()),
+        }
+        x, z = x_new, z_new
+        return x, objective, residuals
+
+    return _admm(cfg, step, time.perf_counter())
+
+
+@pytest.mark.parametrize("m", [43, 60])  # Woodbury (m < d = 48), direct
+@pytest.mark.parametrize("max_iter", [500, 3])
+def test_gaussian_step_matches_explicit_passes(m, max_iter):
+    x0 = tb.rand_low_tubal(4, 4, 3, 1, seed=11)
+    gmap = tb.make_gaussian_map(m, (4, 4, 3), seed=13)
+    y = tb.apply_map(gmap, x0)
+    cfg = AdmmConfig(max_iter=max_iter, record_history=True)
+    x1, r1 = tb.solve_gaussian(gmap, y, cfg)
+    x2, r2 = _reference_solve_gaussian(gmap, y, cfg)
+    assert r1.iterations == r2.iterations
+    assert r1.converged == r2.converged == (max_iter == 500)
+    assert np.linalg.norm(x1 - x2) <= 1e-10 * np.linalg.norm(x2)
+    columns = ["iter", "objective", "res_x", "res_z", "res_feas", "res_gap", "mu"]
+    # each history value within 1e-9 of the largest value in its column
+    scale = {c: max(abs(row[c]) for row in r2.history) for c in columns}
+    for row1, row2 in zip(r1.history, r2.history):
+        assert list(row1) == list(row2) == columns
+        for c in columns:
+            assert abs(row1[c] - row2[c]) <= 1e-9 * scale[c]
+    assert r1.residuals == pytest.approx(r2.residuals, rel=1e-9, abs=1e-12)
+    # the report does not depend on whether a history was kept
+    x3, r3 = tb.solve_gaussian(gmap, y, AdmmConfig(max_iter=max_iter))
+    assert np.array_equal(x1, x3)
+    assert r3.iterations == r1.iterations and r3.residuals == r1.residuals
 
 
 def test_gaussian_dim_mismatch():
@@ -86,6 +152,17 @@ def test_solvers_reject_nonfinite_data():
     m_obs = np.where(mask.observed, 0.0, np.nan)
     _, report = tb.solve_completion(mask, m_obs)
     assert report.converged
+
+
+def test_gaussian_rejects_empty_tensor():
+    with pytest.raises(EmptyTensor):
+        tb.solve_gaussian(tb.make_gaussian_map(3, (0, 3, 2), 0), np.zeros(3))
+
+
+def test_completion_rejects_empty_tensor():
+    with pytest.raises(EmptyTensor):
+        tb.solve_completion(tb.make_bernoulli_mask((0, 3, 2), 0.5, seed=0),
+                            np.zeros((0, 3, 2)))
 
 
 def test_gaussian_not_converged_report():
