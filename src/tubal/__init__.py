@@ -10,14 +10,18 @@ recovery tables and phase-transition grids.
 
 from .errors import (
     DimMismatch,
+    EmptyTensor,
     FrameSizeMismatch,
     IndexOutOfRange,
     InvalidEpsilon,
+    InvalidParameter,
     InvalidRank,
     InvalidRate,
+    InvalidSolverConfig,
     LengthMismatch,
     MapTooLarge,
     NegativeThreshold,
+    NonFiniteValues,
     SymmetryViolation,
     TubalError,
     UnsupportedFormat,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import FrameSizeMismatch, TubalError
+from .errors import FrameSizeMismatch, InvalidParameter, TubalError
 from .lab import (
     incoherence,
     phase_grid,
@@ -28,7 +28,7 @@ from .lab import (
 from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map, proj_omega
 from .solve import AdmmConfig, solve_completion, solve_gaussian
 from .tensor import norms
-from .tsvd import spectral_norm, tnn, tsvd, tubal_rank
+from .tsvd import _require_rel_tol, spectral_norm, tnn, tsvd, tubal_rank
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -39,6 +39,8 @@ _CFG_KEYS = ("eps", "max_iter", "rho", "mu0", "mu_max")
 
 
 def _cfg_from(params, record_history=False) -> AdmmConfig:
+    """The solver settings in params; the rank tolerance is checked with them."""
+    _require_rel_tol(params.get("rank_tol", 0.0))
     defaults = AdmmConfig()
     kwargs = {k: params.get(k, getattr(defaults, k)) for k in _CFG_KEYS}
     return AdmmConfig(record_history=record_history, **kwargs)
@@ -93,18 +95,18 @@ def _finish_recovery(outdir: Path, subcommand: str, params: dict, outputs: list,
 
 
 def run_recover(params, outdir: Path) -> int:
+    cfg = _cfg_from(params, record_history=params.get("history", False))
     x0 = io.read_tensor(params["tensor"])
     gmap = make_gaussian_map(params["m"], x0.shape, params["seed"])
-    cfg = _cfg_from(params, record_history=params.get("history", False))
     xhat, report = solve_gaussian(gmap, apply_map(gmap, x0), cfg)
     return _finish_recovery(outdir, "recover", params, [], x0, xhat, report,
                             f"m={params['m']}")
 
 
 def run_complete(params, outdir: Path) -> int:
+    cfg = _cfg_from(params, record_history=params.get("history", False))
     m_full = io.read_tensor(params["tensor"])
     mask = _mask_for(m_full.shape, params)
-    cfg = _cfg_from(params, record_history=params.get("history", False))
     xhat, report = solve_completion(mask, proj_omega(mask, m_full), cfg)
     io.write_mask(outdir / "mask.om", mask)
     return _finish_recovery(outdir, "complete", params, ["mask.om"], m_full, xhat, report,
@@ -245,12 +247,12 @@ def _add_cfg_flags(p):
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-3)
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
+def _number_list(text, cast):
+    try:
+        return [cast(v) for v in text.split(",") if v]
+    except ValueError:
+        raise InvalidParameter(f"not a comma-separated list of {cast.__name__}s: "
+                               f"{text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,17 +336,16 @@ def _params_from_args(args) -> dict:
     skip = {"subcommand", "out"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
     if "kind" in params:
-        values = _float_list(params["values"]) if params["kind"] == "completion" \
-            else _int_list(params["values"])
-        params["values"] = values
-        params["ranks"] = _int_list(params["ranks"])
+        cast = float if params["kind"] == "completion" else int
+        params["values"] = _number_list(params["values"], cast)
+        params["ranks"] = _number_list(params["ranks"], int)
     return params
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    params = _params_from_args(args)
     try:
+        params = _params_from_args(args)
         if args.subcommand == "info":
             return run_info(params)
         outdir = _outdir(args.out)

@@ -63,3 +63,7 @@ class InvalidSolverConfig(TubalError):
 
 class EmptyTensor(TubalError):
     """A solver was given a tensor with a zero dimension."""
+
+
+class InvalidParameter(TubalError):
+    """A tolerance, trial count, grid kind or value list is not one the call accepts."""

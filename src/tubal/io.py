@@ -223,12 +223,7 @@ def write_grid_csv(path, grid):
 def write_table_csv(path, rows, rate_column):
     fieldnames = ["n", "n3", "r", rate_column, "rank_estimate", "rel_error",
                   "iterations", "converged", "error"]
-    normalized = []
-    for row in rows:
-        r = dict(row)
-        r.setdefault("error", "")
-        normalized.append(r)
-    write_csv(path, fieldnames, normalized)
+    write_csv(path, fieldnames, rows)
 
 
 def write_manifest(path, manifest: dict):

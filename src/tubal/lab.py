@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidEpsilon, InvalidRank, TubalError
+from .errors import DimMismatch, InvalidEpsilon, InvalidParameter, InvalidRank, TubalError
 from .rng import derive_seed, normal_fill, substream
 from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map, proj_omega
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
@@ -255,11 +255,11 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     trial), so any execution order reproduces the same grid.
     """
     if kind not in ("gaussian", "completion"):
-        raise ValueError(f"kind must be 'gaussian' or 'completion', got {kind!r}")
+        raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if not values or not ranks:
-        raise ValueError("axis lists must be nonempty")
+        raise InvalidParameter("axis lists must be nonempty")
     n1, n2, n3 = dims
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=list(ranks), trials=trials, base_seed=base_seed,

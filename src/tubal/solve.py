@@ -23,20 +23,18 @@ one of two paths chosen by its shape:
   A z = A v - (K - I) q = t + q, so A z - y = q - lam1/mu exactly.  Each
   iteration makes two passes over the map and one m x m solve.
 
-The Gaussian solver thresholds with the full batched SVD on every
-iteration.  The completion solver keeps a `tsvd._SvtState` for the solve,
-so each SVT call takes the cheapest of three paths (see `tsvd`): an exact
-zero when every Fourier slice's Frobenius norm is at most tau (the first
-iterations, where tau = 1/mu is large); a truncated SVD from a sketch
-warm-started with the last call's kept right singular vectors, accepted only
-when its Ritz margin, spare columns and right residual pass the
-certificate; otherwise the full SVD.  `SolverReport.svt_paths` counts the
-calls per path; it stays out of every file the CLI writes.
-
 Both run the same loop, `_admm`: penalty mu_k = min(mu0 * rho^k, mu_max)
-and infinity-norm stopping criteria checked each iteration.  Hitting the
-iteration cap is not an exception; the report comes back with
-converged=False and the final iterate is returned as-is.
+and infinity-norm stopping criteria checked each iteration.  `_admm` keeps
+one `tsvd._SvtState` for the solve, so each SVT call takes the cheapest of
+three paths (see `tsvd`): an exact zero when every Fourier slice's
+Frobenius norm is at most tau (the first iterations, where tau = 1/mu is
+large); a truncated SVD from a sketch warm-started with the last call's
+kept right singular vectors, accepted only when its Ritz margin, spare
+columns and right residual pass the certificate; otherwise the full SVD.
+`SolverReport.svt_paths` counts the calls per path; it stays out of every
+file the CLI writes.  Hitting the iteration cap is not an exception; the
+report comes back with converged=False and the final iterate is returned
+as-is.
 """
 
 import time
@@ -92,23 +90,24 @@ def _penalty(cfg: AdmmConfig, k: int) -> float:
     return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
 
 
-def _admm(cfg: AdmmConfig, step, t0: float, svt_paths: dict | None = None):
+def _admm(cfg: AdmmConfig, step, t0: float):
     """Run the shared ADMM schedule around one solver's update.
 
-    step(mu) performs one iteration at penalty mu and returns
+    step(mu, svt_state) performs one iteration at penalty mu, thresholding
+    through svt_state, the one `_SvtState` of the solve, and returns
     (x, objective, residuals); the loop stops once every residual is at most
     cfg.eps or after cfg.max_iter iterations.  A residual may be given as a
     function of no arguments: it is called only when its value is needed,
     that is for a history row, when every other residual is at most cfg.eps
     (only then can the loop stop) and on the last iteration, so every value
     in the report and the history is computed.  t0 is the solver's start
-    time; svt_paths counts the step's SVT calls per path, and None means
-    every call took the full SVD.  Returns the last x and its SolverReport.
+    time.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
+    svt_state = _SvtState()
     for k in range(cfg.max_iter):
         mu = _penalty(cfg, k)
-        x, objective, residuals = step(mu)
+        x, objective, residuals = step(mu, svt_state)
         ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
         if ready or history is not None or k + 1 == cfg.max_iter:
             residuals = {name: v() if callable(v) else v for name, v in residuals.items()}
@@ -125,8 +124,7 @@ def _admm(cfg: AdmmConfig, step, t0: float, svt_paths: dict | None = None):
         objective=objective,
         wall_time=time.perf_counter() - t0,
         history=history,
-        svt_paths=svt_paths if svt_paths is not None else
-        {"zero": 0, "truncated": 0, "full": k + 1},
+        svt_paths=svt_state.paths,
     )
     return x, report
 
@@ -182,9 +180,9 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     z = np.zeros(dims)
     lam2 = np.zeros(dims)
 
-    def step(mu):
+    def step(mu, svt_state):
         nonlocal x, z, lam2
-        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu)
+        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu, svt_state)
         z_vec, res_feas = solve_z(mu, vec(lam2) / mu + vec(x_new))
         z_new = unvec(z_vec, dims)
         lam2 = lam2 + mu * (x_new - z_new)
@@ -218,12 +216,12 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     x = np.zeros(mask.dims)
     e = np.zeros(mask.dims)
     dual = np.zeros(mask.dims)
-    svt_state = _SvtState()
 
-    def step(mu):
+    def step(mu, svt_state):
         nonlocal x, e, dual
-        x_new, objective = _svt_freq(m_obs - e + dual / mu, 1.0 / mu, svt_state)
-        e_new = proj_omega_c(mask, m_obs - x_new + dual / mu)
+        scaled_dual = dual / mu
+        x_new, objective = _svt_freq(m_obs - e + scaled_dual, 1.0 / mu, svt_state)
+        e_new = proj_omega_c(mask, m_obs - x_new + scaled_dual)
         gap = m_obs - x_new - e_new
         dual = dual + mu * gap
         residuals = {
@@ -234,4 +232,4 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
         x, e = x_new, e_new
         return x, objective, residuals
 
-    return _admm(cfg, step, t0, svt_state.paths)
+    return _admm(cfg, step, t0)

@@ -14,9 +14,10 @@ Fourier slice.
 A real tensor has a conjugate-symmetric spectrum, so only its first
 ``n3 // 2 + 1`` Fourier slices are independent.  ``_rfft3`` and ``_irfft3``
 are the one place that fact is used: every spectral routine here and in
-``tsvd`` works on that half-spectrum stack, and ``_mirror_weights`` counts
-how often each of its slices occurs in the full spectrum.  The public
-``fft_dim3``/``ifft_dim3`` keep the full spectrum; they serve as oracles.
+``tsvd`` works on that half-spectrum stack, and ``_spectral_mean`` averages
+per-slice values over the full spectrum, counting each slice as often as it
+occurs there.  The public ``fft_dim3``/``ifft_dim3`` keep the full
+spectrum; they serve as oracles.
 """
 
 from typing import NamedTuple
@@ -31,9 +32,8 @@ from .errors import (
     SymmetryViolation,
 )
 
-# Relative tolerances for the conjugate-symmetry invariant of transformed
-# tensors and for the imaginary residue discarded by the inverse transform.
-SYM_TOL = 1e-8
+# Relative tolerance for the imaginary residue discarded by the inverse
+# transform.
 IMAG_TOL = 1e-8
 
 # bcirc/tprod_oracle materialize (n1*n3) x (n2*n3) matrices; they anchor
@@ -61,19 +61,17 @@ def validate_tensor(a) -> np.ndarray:
     return a
 
 
-def half_spectrum(n3: int) -> int:
-    """Number of independent Fourier slices of a real tensor: ceil((n3+1)/2)."""
-    return n3 // 2 + 1
+def _spectral_mean(x: np.ndarray, n3: int) -> np.ndarray:
+    """Mean over the full spectrum of per-slice values x (h, ...) of the half stack.
 
-
-def _mirror_weights(n3: int) -> np.ndarray:
-    """Multiplicity of each independent Fourier slice; sums to n3."""
-    h = half_spectrum(n3)
-    w = np.full(h, 2.0)
+    Slice 0 and, for even n3, the Nyquist slice occur once in the full
+    spectrum; every other slice also stands for its conjugate mirror.
+    """
+    w = np.full(x.shape[0], 2.0)
     w[0] = 1.0
     if n3 % 2 == 0:
-        w[h - 1] = 1.0
-    return w
+        w[-1] = 1.0
+    return (w.reshape((-1,) + (1,) * (x.ndim - 1)) * x).sum(axis=0) / n3
 
 
 def _rfft3(a: np.ndarray) -> np.ndarray:

@@ -3,16 +3,15 @@
 Everything here works one Fourier slice at a time, on the independent
 half-spectrum stack that ``tensor._rfft3`` returns.  Factors and
 thresholded slices go back through ``tensor._irfft3``; norms and ranks
-count each slice with its multiplicity in the full spectrum.
+average per-slice values with ``tensor._spectral_mean``.
 
 Singular values of the tensor are the diagonal entries of the first frontal
 slice of the middle factor; they equal the per-slice singular values
 averaged across the spectrum, hence are nonnegative and non-increasing.
 
-The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  Without a
-state, which is how `svt` and `solve_gaussian` call it, every slice takes
-the full batched SVD.  With a `_SvtState`, which `solve_completion` keeps
-for one solve, each call takes one of three paths:
+The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
+`_SvtState`: `solve._admm` keeps one for each solve of either solver, and
+`svt` passes a fresh one.  Each call takes one of three paths:
 
 - zero: when every slice's Frobenius norm is at most tau, no singular value
   exceeds tau and the result is exactly zero; no SVD runs;
@@ -54,13 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeThreshold
+from .errors import InvalidParameter, NegativeThreshold
 from .rng import substream
 from .tensor import (
     _irfft3,
-    _mirror_weights,
     _require_tensor,
     _rfft3,
+    _spectral_mean,
     ctranspose,
     tprod,
 )
@@ -74,9 +73,7 @@ def _slice_svals(a: np.ndarray) -> np.ndarray:
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Tensor singular values s(i, i, 1), non-increasing, length min(n1, n2)."""
     a = _require_tensor(a)
-    sv = _slice_svals(a)
-    w = _mirror_weights(a.shape[2])
-    return (w[:, None] * sv).sum(axis=0) / a.shape[2]
+    return _spectral_mean(_slice_svals(a), a.shape[2])
 
 
 @dataclass(frozen=True)
@@ -127,10 +124,7 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
 
     if mode == "skinny":
         if k is None:
-            w = _mirror_weights(n3)
-            profile = (w[:, None] * sb).sum(axis=0) / n3
-            top = profile[0] if profile.size else 0.0
-            k = int((profile > rank_tol * top).sum())
+            k = _count_above(_spectral_mean(sb, n3), rank_tol)
         k = min(k, min(n1, n2))
     else:
         k = min(n1, n2)
@@ -142,26 +136,29 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
     return TSvdFactors(u=u, s=s, v=v, mode=mode)
 
 
+def _count_above(profile: np.ndarray, rel_tol: float) -> int:
+    """Entries of a nonnegative, non-increasing profile above rel_tol times its first."""
+    top = profile[0] if profile.size else 0.0
+    return int((profile > rel_tol * top).sum())
+
+
+def _require_rel_tol(rel_tol: float):
+    if not 0 <= rel_tol < 1:
+        raise InvalidParameter(f"relative tolerance must be in [0, 1), got {rel_tol}")
+
+
 def tubal_rank(a: np.ndarray, rel_tol: float = 1e-6) -> int:
     """Number of tensor singular values above rel_tol times the largest."""
-    if not 0 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
-    profile = singular_values(a)
-    if profile.size == 0 or profile[0] <= 0.0:
-        return 0
-    return int((profile > rel_tol * profile[0]).sum())
+    _require_rel_tol(rel_tol)
+    return _count_above(singular_values(a), rel_tol)
 
 
 def tnn(a: np.ndarray) -> float:
     """Tensor nuclear norm: sum of tensor singular values.
 
-    Computed as 1/n3 times the summed nuclear norms of the Fourier slices,
-    each independent slice counted with its multiplicity in the spectrum.
+    Equals 1/n3 times the summed nuclear norms of the Fourier slices.
     """
-    a = _require_tensor(a)
-    sv = _slice_svals(a)
-    w = _mirror_weights(a.shape[2])
-    return float((w[:, None] * sv).sum() / a.shape[2])
+    return float(singular_values(a).sum())
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -178,18 +175,13 @@ def avg_rank(a: np.ndarray, rel_tol: float = 1e-6) -> float:
     across the whole spectrum, matching the usual matrix-rank tolerance on
     the materialized block-circulant matrix.
     """
-    if not 0 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
+    _require_rel_tol(rel_tol)
     a = _require_tensor(a)
     sv = _slice_svals(a)
-    if sv.size == 0:
+    top = sv.max(initial=0.0)
+    if top == 0.0:
         return 0.0
-    top = sv.max()
-    if top <= 0.0:
-        return 0.0
-    w = _mirror_weights(a.shape[2])
-    counts = (sv > rel_tol * top).sum(axis=1)
-    return float((w * counts).sum() / a.shape[2])
+    return float(_spectral_mean((sv > rel_tol * top).sum(axis=1), a.shape[2]))
 
 
 # Rank-adaptive SVT; CHANGES.md records the measurement behind each number.
@@ -208,7 +200,7 @@ class _SvtState:
     v: (h, n2, k) right singular vectors of the last call's kept columns, or
     None; svals: (h, >= k) the leading singular (or Ritz) values it saw, or
     None; paths: calls per path.  A fresh state knows no spectrum, so its
-    first call takes the full SVD.
+    first call takes the zero path or the full SVD.
     """
 
     def __init__(self):
@@ -231,8 +223,7 @@ def _threshold(u, s, vh, tau: float, n3: int):
     shr = np.maximum(s - tau, 0.0)
     k = int((shr > 0.0).sum(axis=1).max()) if shr.size else 0
     x = _irfft3((u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k], n3)
-    w = _mirror_weights(n3)
-    return x, float((w[:, None] * shr).sum() / n3)
+    return x, float(_spectral_mean(shr, n3).sum())
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -307,17 +298,15 @@ def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState):
         steps += 1
 
 
-def _svt_freq(y: np.ndarray, tau: float, state: _SvtState | None = None):
+def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
-    Without a state every slice takes the full SVD; with one, the call takes
-    the zero, truncated or full path of the module docstring and leaves its
-    kept right vectors and spectrum in the state for the next call.
+    The call takes the zero, truncated or full path of the module docstring
+    and leaves its kept right vectors and spectrum in the state for the
+    next call.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
-    if state is None:
-        return _threshold(*np.linalg.svd(f, full_matrices=False), tau, n3)
     if np.linalg.norm(f, axis=(1, 2)).max() <= tau:
         state.v = state.svals = None
         state.paths["zero"] += 1
@@ -340,11 +329,12 @@ def svt(y: np.ndarray, tau: float) -> np.ndarray:
 
     Minimizes tau*||x||_tnn + 0.5*||x - y||_F^2.  The 1/n3 factors in the
     norm and in Parseval's identity cancel, so each Fourier slice is
-    soft-thresholded by exactly tau.
+    soft-thresholded by exactly tau.  A fresh state knows no spectrum, so
+    the result is the exact zero or comes from the full SVD.
     """
     y = _require_tensor(y)
     if tau < 0:
         raise NegativeThreshold(f"threshold must be >= 0, got {tau}")
     if tau == 0.0:
         return y.copy()
-    return _svt_freq(y, tau)[0]
+    return _svt_freq(y, tau, _SvtState())[0]

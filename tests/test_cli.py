@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tubal as tb
+from tubal import cli, lab
 from tubal import io as tio
 from tubal.cli import main
 
@@ -307,3 +308,61 @@ def test_replay_rejects_bad_manifest(tmp_path):
                  '{"format": 1, "subcommand": "gen", "params": {"n1": 3}}']:
         path.write_text(text)
         assert main(["replay", str(path), "--out", str(tmp_path / "r")]) == 2
+
+
+def _files(path):
+    return sorted(p.name for p in path.iterdir()) if path.exists() else []
+
+
+def _assert_usage_error_before_solve(monkeypatch, tmp_path, args, replay=True):
+    """args exit 2 before any solve and write nothing; so does their replay."""
+    def no_solve(*_, **__):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli, "solve_gaussian", no_solve)
+    monkeypatch.setattr(cli, "solve_completion", no_solve)
+    monkeypatch.setattr(lab, "_trial", no_solve)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert _files(out) == []
+    if replay:
+        params = cli._params_from_args(cli.build_parser().parse_args([*args, "--out", "x"]))
+        manifest = tmp_path / "manifest.json"
+        tio.write_manifest(manifest, {"format": 1, "subcommand": args[0], "params": params})
+        again = tmp_path / "again"
+        assert main(["replay", str(manifest), "--out", str(again)]) == 2
+        assert _files(again) == []
+
+
+def test_info_rank_tol_out_of_range(tmp_path):
+    tio.write_tensor(tmp_path / "a.t3", tb.identity(3, 2))
+    assert main(["info", str(tmp_path / "a.t3"), "--rank-tol", "1.5"]) == 2
+
+
+def test_recover_rank_tol_out_of_range(tmp_path, monkeypatch):
+    main(["gen", "4", "4", "2", "1", "--out", str(tmp_path / "gen")])
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, [
+        "recover", str(tmp_path / "gen" / "x0.t3"), "--m", "43", "--rank-tol", "2"])
+
+
+def test_complete_rank_tol_out_of_range(tmp_path, monkeypatch):
+    main(["gen", "4", "4", "2", "1", "--out", str(tmp_path / "gen")])
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, [
+        "complete", str(tmp_path / "gen" / "x0.t3"), "--p", "0.9", "--rank-tol", "-1"])
+
+
+_PHASE = ["phase", "gaussian", "--n1", "4", "--n2", "4", "--n3", "2", "--ranks", "1"]
+
+
+def test_phase_zero_trials(tmp_path, monkeypatch):
+    _assert_usage_error_before_solve(monkeypatch, tmp_path,
+                                     [*_PHASE, "--values", "32", "--trials", "0"])
+
+
+def test_phase_empty_values(tmp_path, monkeypatch):
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, [*_PHASE, "--values", ","])
+
+
+def test_phase_non_numeric_values(tmp_path, monkeypatch):
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, [*_PHASE, "--values", "1,x"],
+                                     replay=False)

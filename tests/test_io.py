@@ -146,11 +146,16 @@ def test_csv_formatting(tmp_path):
 
 
 def test_table_and_grid_csv_writers(tmp_path):
-    rows = tb.run_table1([(4, 2, 1, tb.gaussian_bound(4, 4, 2, 1))], base_seed=3)
+    # a recovered row, whose error cell is empty, and a rejected rank-9 row
+    rows = tb.run_table1([(4, 2, 1, tb.gaussian_bound(4, 4, 2, 1)), (4, 2, 9, 43)],
+                         base_seed=3)
     tio.write_table_csv(tmp_path / "t1.csv", rows, rate_column="m")
     lines = (tmp_path / "t1.csv").read_text().splitlines()
-    assert lines[0] == "n,n3,r,m,rank_estimate,rel_error,iterations,converged,error"
-    assert lines[1].startswith("4,2,1,43,1,")
+    assert lines == [
+        "n,n3,r,m,rank_estimate,rel_error,iterations,converged,error",
+        f"4,2,1,43,1,{rows[0]['rel_error']:.17g},{rows[0]['iterations']},1,",
+        "4,2,9,43,,,,,InvalidRank: rank 9 outside [1, 4]",
+    ]
 
     grid = tb.phase_grid("gaussian", (4, 4, 2), values=[32], ranks=[1],
                          trials=2, base_seed=5)
@@ -158,7 +163,9 @@ def test_table_and_grid_csv_writers(tmp_path):
     lines = (tmp_path / "g.csv").read_text().splitlines()
     assert lines[0] == ("kind,n1,n2,n3,r,m_or_p,trials,successes,"
                         "success_rate,mean_rel_err,mean_iters")
-    assert lines[1].startswith("gaussian,4,4,2,1,32,2,2,1,")
+    cell = grid.cells[0]
+    assert lines[1:] == [f"gaussian,4,4,2,1,32,2,2,1,{cell.mean_rel_err:.17g},"
+                         f"{cell.mean_iters:.17g}"]
 
 
 def test_manifest_round_trip(tmp_path):

@@ -85,9 +85,9 @@ def _reference_solve_gaussian(gmap, y, cfg):
     x, z, lam2 = (np.zeros(gmap.dims) for _ in range(3))
     lam1 = np.zeros(m)
 
-    def step(mu):
+    def step(mu, svt_state):
         nonlocal x, z, lam1, lam2
-        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu)
+        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu, svt_state)
         z_vec = solve_system(a.T @ (y - lam1 / mu) + vec(lam2) / mu + vec(x_new))
         z_new = unvec(z_vec, gmap.dims)
         feas = a @ z_vec - y
@@ -186,7 +186,8 @@ def test_gaussian_deterministic_and_history():
     assert len(r1.history) == r1.iterations
     for row1, row2 in zip(r1.history, r2.history):
         assert row1 == row2
-    assert r1.svt_paths == {"zero": 0, "truncated": 0, "full": r1.iterations}
+    # slices below the sketch's minimum side: the exact zero, then the full SVD
+    assert r1.svt_paths == {"zero": 60, "truncated": 0, "full": 90}
     mus = [row["mu"] for row in r1.history]
     cfg0 = AdmmConfig()
     assert mus == [min(cfg0.mu0 * cfg0.rho ** k, cfg0.mu_max)

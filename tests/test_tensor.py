@@ -260,3 +260,12 @@ def test_validate_tensor_rejects_nonfinite():
     bad[0, 0, 0] = np.nan
     with pytest.raises(NonFiniteValues):
         tb.validate_tensor(bad)
+
+
+def test_every_error_class_is_exported():
+    import tubal.errors
+
+    classes = [c for c in vars(tubal.errors).values()
+               if isinstance(c, type) and issubclass(c, tb.TubalError)]
+    for c in classes:
+        assert getattr(tb, c.__name__) is c
