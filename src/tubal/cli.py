@@ -25,7 +25,7 @@ from .lab import (
     rand_low_tubal,
     rel_error,
 )
-from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map, proj_omega
+from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, solve_completion, solve_gaussian
 from .tensor import norms
 from .tsvd import _require_rel_tol, spectral_norm, tnn, tsvd, tubal_rank
@@ -107,7 +107,7 @@ def run_complete(params, outdir: Path) -> int:
     cfg = _cfg_from(params, record_history=params.get("history", False))
     m_full = io.read_tensor(params["tensor"])
     mask = _mask_for(m_full.shape, params)
-    xhat, report = solve_completion(mask, proj_omega(mask, m_full), cfg)
+    xhat, report = solve_completion(mask, m_full, cfg)
     io.write_mask(outdir / "mask.om", mask)
     return _finish_recovery(outdir, "complete", params, ["mask.om"], m_full, xhat, report,
                             f"p={mask.p} observed={mask.count}")
@@ -139,7 +139,7 @@ def run_phase(params, outdir: Path) -> int:
 def _complete_pixels(tensor, params):
     """Complete a [0, 1] pixel tensor; returns (clipped xhat, mask, report, psnr)."""
     mask = _mask_for(tensor.shape, params)
-    xhat, report = solve_completion(mask, proj_omega(mask, tensor), _cfg_from(params))
+    xhat, report = solve_completion(mask, tensor, _cfg_from(params))
     xhat = np.clip(xhat, 0.0, 1.0)
     return xhat, mask, report, psnr(xhat, tensor)
 

@@ -62,7 +62,7 @@ class InvalidSolverConfig(TubalError):
 
 
 class EmptyTensor(TubalError):
-    """A solver was given a tensor with a zero dimension."""
+    """A tensor, or the dims of one, has a zero or negative dimension."""
 
 
 class InvalidParameter(TubalError):

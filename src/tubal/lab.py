@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidEpsilon, InvalidParameter, InvalidRank, TubalError
 from .rng import derive_seed, normal_fill, substream
-from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map, proj_omega
+from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
-from .tensor import ctranspose, tprod
+from .tensor import _require_nonempty, ctranspose, tprod
 from .tsvd import TSvdFactors, tubal_rank
 
 
@@ -29,10 +29,11 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
     experiments.  The left factor is filled before the right one, each in
     index order.
     """
+    _require_nonempty((n1, n2, n3))
     if not 1 <= r <= min(n1, n2):
         raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
     if scale not in ("unit", "inv_n"):
-        raise ValueError(f"scale must be 'unit' or 'inv_n', got {scale!r}")
+        raise InvalidParameter(f"scale must be 'unit' or 'inv_n', got {scale!r}")
     sigma = 1.0 if scale == "unit" else 1.0 / math.sqrt(max(n1, n2))
     gen = substream(seed, "low-tubal", n1, n2, n3, r, scale)
     p = sigma * normal_fill(gen, n1 * r * n3).reshape((n1, r, n3), order="F")
@@ -173,7 +174,7 @@ def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg):
     else:
         x0 = rand_low_tubal(*dims, r, seed_tensor, scale="inv_n")
         mask = make_bernoulli_mask(dims, value, seed_sensing)
-        xhat, report = solve_completion(mask, proj_omega(mask, x0), cfg)
+        xhat, report = solve_completion(mask, x0, cfg)
     return x0, xhat, report
 
 
@@ -260,6 +261,7 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if not values or not ranks:
         raise InvalidParameter("axis lists must be nonempty")
+    _require_nonempty(dims)
     n1, n2, n3 = dims
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=list(ranks), trials=trials, base_seed=base_seed,

@@ -3,8 +3,7 @@
 `solve_gaussian` recovers a tensor from dense Gaussian measurements
 y = A vec(x) by splitting the variable (x = z) and alternating a
 singular-value-thresholding step with a linear solve against (A^T A + I).
-`solve_completion` recovers a tensor from observed entries by carrying the
-unobserved part in an explicit slack tensor.
+`solve_completion` recovers a tensor from its entries on the mask Omega.
 
 The Gaussian z-update solves (A^T A + I) z = A^T t + v, with
 t = y - lam1/mu and v = vec(lam2)/mu + vec(x), and then sets
@@ -15,26 +14,24 @@ one of two paths chosen by its shape:
   w = A^T lam1 in place of lam1, so rhs = A^T y - w/mu + v with A^T y formed
   once.  The system itself gives A^T A z = rhs - z, so the dual step is
   w += mu (rhs - z - A^T y), with no pass over the map.  The m-vector
-  A z - y is needed only for the residual res_feas, which is computed only
-  when it can change the outcome (see `_admm`): for a history row, when
-  every other residual is within eps, and on the last iteration.
+  A z - y is needed only for the residual res_feas, which `_admm`
+  evaluates only when its value is used.
 - m < d (Woodbury): with K = I + A A^T, (A^T A + I)^-1 = I - A^T K^-1 A
   gives z = v - A^T q for q = K^-1 (A v - t), and then
   A z = A v - (K - I) q = t + q, so A z - y = q - lam1/mu exactly.  Each
   iteration makes two passes over the map and one m x m solve.
 
-Both run the same loop, `_admm`: penalty mu_k = min(mu0 * rho^k, mu_max)
-and infinity-norm stopping criteria checked each iteration.  `_admm` keeps
-one `tsvd._SvtState` for the solve, so each SVT call takes the cheapest of
-three paths (see `tsvd`): an exact zero when every Fourier slice's
-Frobenius norm is at most tau (the first iterations, where tau = 1/mu is
-large); a truncated SVD from a sketch warm-started with the last call's
-kept right singular vectors, accepted only when its Ritz margin, spare
-columns and right residual pass the certificate; otherwise the full SVD.
-`SolverReport.svt_paths` counts the calls per path; it stays out of every
-file the CLI writes.  Hitting the iteration cap is not an exception; the
-report comes back with converged=False and the final iterate is returned
-as-is.
+Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
+full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
+Omega, exactly in floating point, so the SVT input is the last x with
+b + dual/mu on Omega (b the observed data) and res_e is x's largest change
+off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).
+
+Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),
+infinity-norm stopping criteria and one `tsvd._SvtState` per solve, through
+which each SVT call takes its cheapest exact path (see `tsvd`).
+`SolverReport.svt_paths` counts the calls per path; no CLI file holds it.
+At the iteration cap the report has converged=False and the last iterate.
 """
 
 import time
@@ -43,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch, EmptyTensor, InvalidSolverConfig
-from .sensing import GaussianMap, SampleMask, proj_omega, proj_omega_c
-from .tensor import _require_finite, unvec, vec
+from .errors import DimMismatch, InvalidSolverConfig
+from .sensing import GaussianMap, SampleMask, _check_mask_dims
+from .tensor import _require_finite, _require_nonempty, unvec, vec
 from .tsvd import _SvtState, _svt_freq
 
 
@@ -61,8 +58,9 @@ class AdmmConfig:
     def __post_init__(self):
         if not self.rho > 1:
             raise InvalidSolverConfig(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.mu0 <= self.mu_max:
-            raise InvalidSolverConfig(f"need 0 < mu0 <= mu_max, got {self.mu0}, {self.mu_max}")
+        if not 0 < self.mu0 <= self.mu_max < np.inf:
+            raise InvalidSolverConfig(
+                f"need 0 < mu0 <= mu_max < inf, got {self.mu0}, {self.mu_max}")
         if not self.eps > 0:
             raise InvalidSolverConfig(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
@@ -81,13 +79,12 @@ class SolverReport:
     svt_paths: dict = field(default_factory=dict)  # SVT calls per path: zero, truncated, full
 
 
-def _require_nonempty(dims):
-    if 0 in dims:
-        raise EmptyTensor(f"cannot recover a tensor with a zero dimension: {tuple(dims)}")
-
-
 def _penalty(cfg: AdmmConfig, k: int) -> float:
-    return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
+    try:
+        return min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
+    except OverflowError:  # rho ** k is past the float range: compare in logs
+        log_mu = np.log(cfg.mu0) + k * np.log(cfg.rho)
+        return cfg.mu_max if log_mu >= np.log(cfg.mu_max) else float(np.exp(log_mu))
 
 
 def _admm(cfg: AdmmConfig, step, t0: float):
@@ -97,10 +94,9 @@ def _admm(cfg: AdmmConfig, step, t0: float):
     through svt_state, the one `_SvtState` of the solve, and returns
     (x, objective, residuals); the loop stops once every residual is at most
     cfg.eps or after cfg.max_iter iterations.  A residual may be given as a
-    function of no arguments: it is called only when its value is needed,
-    that is for a history row, when every other residual is at most cfg.eps
-    (only then can the loop stop) and on the last iteration, so every value
-    in the report and the history is computed.  t0 is the solver's start
+    function of no arguments, called only when its value is needed: for a
+    history row, when every other residual is at most cfg.eps (only then can
+    the loop stop) and on the last iteration.  t0 is the solver's start
     time.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
@@ -201,35 +197,34 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
 def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to agreeing with m_obs on the mask.
 
-    m_obs must carry zeros at unobserved entries (they are re-zeroed
-    defensively, so only observed entries need be finite).  Returns
-    (x_hat, report).
+    Only the observed entries of m_obs are read.  Returns (x_hat, report).
     """
     cfg = cfg or AdmmConfig()
-    if tuple(m_obs.shape) != tuple(mask.dims):
-        raise DimMismatch(f"tensor shape {m_obs.shape} does not match mask dims {mask.dims}")
+    _check_mask_dims(mask, m_obs)
     _require_nonempty(mask.dims)
     t0 = time.perf_counter()
-    m_obs = proj_omega(mask, np.asarray(m_obs, dtype=float))
-    _require_finite(m_obs, "observed data")
+    obs = np.flatnonzero(mask.observed)
+    unobs = np.flatnonzero(~mask.observed)
+    b = np.asarray(m_obs, dtype=float).take(obs)
+    _require_finite(b, "observed data")
 
     x = np.zeros(mask.dims)
-    e = np.zeros(mask.dims)
-    dual = np.zeros(mask.dims)
+    dual = np.zeros(obs.size)
 
     def step(mu, svt_state):
-        nonlocal x, e, dual
-        scaled_dual = dual / mu
-        x_new, objective = _svt_freq(m_obs - e + scaled_dual, 1.0 / mu, svt_state)
-        e_new = proj_omega_c(mask, m_obs - x_new + scaled_dual)
-        gap = m_obs - x_new - e_new
-        dual = dual + mu * gap
+        nonlocal x, dual
+        y = x.copy()  # the last x off Omega
+        y.put(obs, b + dual / mu)
+        x_new, objective = _svt_freq(y, 1.0 / mu, svt_state)
+        gap = b - x_new.take(obs)
+        dual += mu * gap
+        change = np.abs(x_new - x)
         residuals = {
-            "res_x": float(np.abs(x_new - x).max()),
-            "res_e": float(np.abs(e_new - e).max()),
-            "res_feas": float(np.abs(gap).max()),
+            "res_x": float(change.max()),
+            "res_e": float(change.take(unobs).max(initial=0.0)),
+            "res_feas": float(np.abs(gap).max(initial=0.0)),
         }
-        x, e = x_new, e_new
+        x = x_new
         return x, objective, residuals
 
     return _admm(cfg, step, t0)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
+    EmptyTensor,
     IndexOutOfRange,
     LengthMismatch,
     NonFiniteValues,
@@ -46,6 +47,12 @@ def _require_tensor(a, name="tensor"):
     if a.ndim != 3:
         raise DimMismatch(f"{name} must be 3-way, got shape {a.shape}")
     return a
+
+
+def _require_nonempty(dims):
+    """Raise EmptyTensor unless every dimension is at least 1."""
+    if min(dims) < 1:
+        raise EmptyTensor(f"tensor dimensions must be positive, got {tuple(dims)}")
 
 
 def _require_finite(a, what: str):

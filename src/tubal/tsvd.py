@@ -114,11 +114,12 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
     mode : "full" keeps k = min(n1, n2) components; "skinny" truncates to
         the tubal rank at rank_tol (or to the caller-supplied k).
     k : explicit number of components for skinny mode.
-    rank_tol : relative threshold used to count nonzero singular values.
+    rank_tol : relative threshold in [0, 1) used to count nonzero singular values.
     """
     a = _require_tensor(a)
     if mode not in ("full", "skinny"):
-        raise ValueError(f"mode must be 'full' or 'skinny', got {mode!r}")
+        raise InvalidParameter(f"mode must be 'full' or 'skinny', got {mode!r}")
+    _require_rel_tol(rank_tol)
     n1, n2, n3 = a.shape
     ub, sb, vhb = np.linalg.svd(_rfft3(a), full_matrices=False)
 

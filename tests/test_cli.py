@@ -59,7 +59,7 @@ def test_recover_m_zero_rejected(tmp_path):
 def test_recover_invalid_solver_settings_rejected(tmp_path):
     gen_out = tmp_path / "gen"
     main(["gen", "3", "3", "2", "1", "--out", str(gen_out)])
-    for flags in (["--rho", "1.0"], ["--max-iter", "0"]):
+    for flags in (["--rho", "1.0"], ["--max-iter", "0"], ["--mu-max", "inf"]):
         assert main(["recover", str(gen_out / "x0.t3"), "--m", "50", *flags,
                      "--out", str(tmp_path / "r")]) == 2
 
@@ -72,6 +72,15 @@ def test_recover_not_converged_exit_code(tmp_path):
                  "--max-iter", "2", "--out", str(rec_out)])
     assert code == 3
     assert (rec_out / "report.csv").exists()
+
+
+def test_recover_penalty_saturates_before_the_cap(tmp_path):
+    # rho ** k leaves the float range at k = 309; the run must still reach the cap
+    gen_out = tmp_path / "gen"
+    main(["gen", "4", "4", "2", "1", "--seed", "3", "--out", str(gen_out)])
+    code = main(["recover", str(gen_out / "x0.t3"), "--m", "20", "--seed", "5", "--rho", "10",
+                 "--max-iter", "400", "--eps", "1e-300", "--out", str(tmp_path / "rec")])
+    assert code == 3
 
 
 def test_complete_fully_observed(tmp_path):
@@ -305,7 +314,9 @@ def test_replay_rejects_bad_manifest(tmp_path):
                  '{"format": 1, "subcommand": "gen"}',
                  '["gen"]',
                  '{"format": 1,',
-                 '{"format": 1, "subcommand": "gen", "params": {"n1": 3}}']:
+                 '{"format": 1, "subcommand": "gen", "params": {"n1": 3}}',
+                 '{"format": 1, "subcommand": "gen", "params": '
+                 '{"n1": 3, "n2": 3, "n3": 2, "r": 1, "seed": 0, "scale": "bogus"}}']:
         path.write_text(text)
         assert main(["replay", str(path), "--out", str(tmp_path / "r")]) == 2
 
@@ -366,3 +377,13 @@ def test_phase_empty_values(tmp_path, monkeypatch):
 def test_phase_non_numeric_values(tmp_path, monkeypatch):
     _assert_usage_error_before_solve(monkeypatch, tmp_path, [*_PHASE, "--values", "1,x"],
                                      replay=False)
+
+
+def test_gen_zero_dimension(tmp_path, monkeypatch):
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, ["gen", "4", "4", "0", "1"])
+
+
+def test_phase_zero_dimension(tmp_path, monkeypatch):
+    args = [*_PHASE, "--values", "10", "--trials", "1"]
+    args[args.index("--n3") + 1] = "0"
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, args)

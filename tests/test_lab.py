@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import InvalidEpsilon, InvalidRank
+from tubal.errors import EmptyTensor, InvalidEpsilon, InvalidParameter, InvalidRank
 
 RNG = np.random.default_rng(5150)
 
@@ -22,6 +22,16 @@ def test_rand_low_tubal_rank_and_determinism():
         tb.rand_low_tubal(4, 4, 2, 0, seed=0)
     with pytest.raises(InvalidRank):
         tb.rand_low_tubal(4, 4, 2, 5, seed=0)
+
+
+def test_rand_low_tubal_rejects_empty_shape_and_bad_scale():
+    for dims in [(4, 4, 0), (0, 4, 2), (4, 4, -1)]:
+        with pytest.raises(EmptyTensor):
+            tb.rand_low_tubal(*dims, 1, seed=0)
+    with pytest.raises(EmptyTensor):
+        tb.phase_grid("gaussian", (4, 4, 0), values=[10], ranks=[1], trials=1)
+    with pytest.raises(InvalidParameter):
+        tb.rand_low_tubal(4, 4, 2, 1, seed=0, scale="bogus")
 
 
 def test_rand_low_tubal_scales_differ():

@@ -27,6 +27,8 @@ def test_config_validation():
     with pytest.raises(InvalidSolverConfig):
         AdmmConfig(mu0=1.0, mu_max=0.5)
     with pytest.raises(InvalidSolverConfig):
+        AdmmConfig(mu_max=float("inf"))
+    with pytest.raises(InvalidSolverConfig):
         AdmmConfig(eps=0.0)
     with pytest.raises(InvalidSolverConfig):
         AdmmConfig(max_iter=0)
@@ -36,6 +38,12 @@ def test_penalty_trajectory_exact():
     cfg = AdmmConfig()
     for k in (0, 1, 5, 100, 400):
         assert _penalty(cfg, k) == min(cfg.mu0 * cfg.rho ** k, cfg.mu_max)
+    # rho ** k leaves the float range at k = 7448
+    assert _penalty(cfg, 10 ** 4) == 1e10
+    # past it, a tiny mu0 keeps the product below mu_max
+    tiny = AdmmConfig(mu0=1e-305)
+    assert _penalty(tiny, 7448) == pytest.approx(1e-305 * 1.1 ** 3724 * 1.1 ** 3724, rel=1e-12)
+    assert _penalty(tiny, 7700) == 1e10
 
 
 def test_gaussian_zero_measurements_give_zero():
@@ -213,8 +221,7 @@ def test_completion_small_exact_recovery():
 
 
 def test_completion_unobserved_entries_ignored():
-    # contract: unobserved entries of the input are zeros; garbage there
-    # must not change the solve because the solver re-projects
+    # the solver reads only observed entries, so garbage elsewhere changes nothing
     m_full = tb.rand_low_tubal(10, 10, 4, 1, seed=51, scale="inv_n")
     mask = tb.make_bernoulli_mask((10, 10, 4), 0.8, seed=52)
     clean = tb.proj_omega(mask, m_full)
@@ -233,20 +240,37 @@ def test_completion_dim_mismatch():
 def test_completion_residual_names_and_history():
     m_full = tb.rand_low_tubal(6, 6, 3, 1, seed=61, scale="inv_n")
     mask = tb.make_bernoulli_mask((6, 6, 3), 0.9, seed=62)
+    m_obs = tb.proj_omega(mask, m_full)
     cfg = AdmmConfig(record_history=True)
-    _, report = tb.solve_completion(mask, tb.proj_omega(mask, m_full), cfg)
+    _, report = tb.solve_completion(mask, m_obs, cfg)
     assert set(report.residuals) == {"res_x", "res_e", "res_feas"}
     assert report.converged
     assert all(v <= cfg.eps for v in report.residuals.values())
     assert len(report.history) == report.iterations
+    # the residuals of a run capped at k, against the iterates at k - 1 and k
+    k = report.iterations // 2
+    x_prev, _ = tb.solve_completion(mask, m_obs, AdmmConfig(max_iter=k - 1))
+    x, capped = tb.solve_completion(mask, m_obs, AdmmConfig(max_iter=k))
+    change = np.abs(x - x_prev)
+    assert capped.residuals["res_x"] == change.max()
+    assert capped.residuals["res_e"] == change[~mask.observed].max() > 0
+    assert capped.residuals["res_feas"] == np.abs(x - m_full)[mask.observed].max() > 0
+    # nothing is unobserved at p = 1
+    full = tb.make_bernoulli_mask((6, 6, 3), 1.0, seed=62)
+    _, capped = tb.solve_completion(full, m_full, AdmmConfig(max_iter=k))
+    assert capped.residuals["res_e"] == 0.0 < capped.residuals["res_x"]
 
 
-def _completion(dims, r, p, seed):
+def _completion_problem(dims, r, p, seed):
     if r is None:  # full tubal rank
         m_full = np.random.default_rng(seed).standard_normal(dims)
     else:
         m_full = tb.rand_low_tubal(*dims, r, seed=seed, scale="inv_n")
-    mask = tb.make_bernoulli_mask(dims, p, seed=seed + 1)
+    return m_full, tb.make_bernoulli_mask(dims, p, seed=seed + 1)
+
+
+def _completion(dims, r, p, seed):
+    m_full, mask = _completion_problem(dims, r, p, seed)
     xhat, report = tb.solve_completion(mask, tb.proj_omega(mask, m_full))
     assert sum(report.svt_paths.values()) == report.iterations
     return m_full, xhat, report
@@ -270,3 +294,47 @@ def test_completion_iterations_match_full_svd(monkeypatch):
     for a, b in zip(adaptive, full):
         assert a["iterations"] == b["iterations"]
         assert a["rel_error"] == pytest.approx(b["rel_error"], rel=1e-3)
+
+
+def _reference_solve_completion(mask, m_obs, cfg):
+    """The step with an explicit slack tensor e and a full-size dual."""
+    m_obs = tb.proj_omega(mask, m_obs)
+    x, e, dual = (np.zeros(mask.dims) for _ in range(3))
+
+    def step(mu, svt_state):
+        nonlocal x, e, dual
+        scaled_dual = dual / mu
+        x_new, objective = _svt_freq(m_obs - e + scaled_dual, 1.0 / mu, svt_state)
+        e_new = tb.proj_omega_c(mask, m_obs - x_new + scaled_dual)
+        gap = m_obs - x_new - e_new
+        dual = dual + mu * gap
+        residuals = {
+            "res_x": float(np.abs(x_new - x).max()),
+            "res_e": float(np.abs(e_new - e).max()),
+            "res_feas": float(np.abs(gap).max()),
+        }
+        x, e = x_new, e_new
+        return x, objective, residuals
+
+    return _admm(cfg, step, time.perf_counter())
+
+
+@pytest.mark.parametrize("dims, r, p, settings", [
+    ((64, 64, 32), 3, 0.5, {}),  # zero, truncated and full SVT calls
+    ((20, 20, 5), 2, 1.0, {}),  # nothing unobserved
+    ((12, 12, 4), None, 0.9, {}),  # full tubal rank
+    ((20, 20, 5), 2, 0.7, {"max_iter": 3, "mu0": 1.0}),  # stopped at the cap, x nonzero
+])
+@pytest.mark.parametrize("record_history", [True, False])
+def test_completion_step_matches_slack_tensor_step(dims, r, p, settings, record_history):
+    m_full, mask = _completion_problem(dims, r, p, seed=71)
+    m_obs = tb.proj_omega(mask, m_full)
+    cfg = AdmmConfig(record_history=record_history, **settings)
+    x1, r1 = tb.solve_completion(mask, m_obs, cfg)
+    x2, r2 = _reference_solve_completion(mask, m_obs, cfg)
+    assert x1.tobytes() == x2.tobytes() and np.abs(x1).max() > 0
+    fields = ("iterations", "converged", "residuals", "mu_final", "objective",
+              "history", "svt_paths")
+    assert [getattr(r1, f) for f in fields] == [getattr(r2, f) for f in fields]
+    if dims == (64, 64, 32):
+        assert min(r1.svt_paths.values()) > 0

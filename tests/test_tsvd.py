@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubal as tb
-from tubal.errors import NegativeThreshold
+from tubal.errors import InvalidParameter, NegativeThreshold
 
 # the package exports the function tsvd under the module's name
 tsvd_module = importlib.import_module("tubal.tsvd")
@@ -63,6 +63,14 @@ def test_tsvd_skinny_truncates_to_rank():
     assert np.linalg.norm(tb.tprod(tb.ctranspose(f.v), f.v) - i_k) <= 1e-9
     full = tb.tsvd(a)
     assert full.spectrum[2] <= 1e-9 * full.spectrum[0]
+
+
+def test_tsvd_rejects_bad_mode_and_tolerance():
+    a = tb.rand_low_tubal(5, 5, 3, 2, seed=1)
+    for kwargs in [{"mode": "thin"}, {"mode": "skinny", "rank_tol": 1.5},
+                   {"mode": "skinny", "rank_tol": -1}]:
+        with pytest.raises(InvalidParameter):
+            tb.tsvd(a, **kwargs)
 
 
 def test_tsvd_skinny_zero_tensor():
