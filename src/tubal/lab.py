@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidEpsilon, InvalidParameter, InvalidRank, TubalError
+from .errors import (
+    DimMismatch,
+    InvalidEpsilon,
+    InvalidParameter,
+    InvalidRank,
+    InvalidRate,
+    TubalError,
+    ZeroMeasurements,
+)
 from .rng import derive_seed, normal_fill, substream
 from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
@@ -253,7 +261,10 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     tensors); kind="completion" treats it as a Bernoulli rate p (1/n-scale
     tensors).  A trial succeeds when the relative error is at or below the
     threshold.  Per-trial substreams depend only on (base_seed, value, r,
-    trial), so any execution order reproduces the same grid.
+    trial), so any execution order reproduces the same grid.  Every value is
+    checked before the first trial: a rate outside (0, 1] raises
+    InvalidRate and a measurement count below 1, or not finite,
+    ZeroMeasurements.
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
@@ -262,6 +273,11 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     if not values or not ranks:
         raise InvalidParameter("axis lists must be nonempty")
     _require_nonempty(dims)
+    for v in values:
+        if kind == "completion" and not 0.0 < float(v) <= 1.0:
+            raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
+        if kind == "gaussian" and not 1 <= float(v) < math.inf:
+            raise ZeroMeasurements(f"need a finite count of m >= 1 measurements, got {v}")
     n1, n2, n3 = dims
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=list(ranks), trials=trials, base_seed=base_seed,

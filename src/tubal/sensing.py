@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidRate, MapTooLarge, ZeroMeasurements
 from .rng import normal_fill, substream
-from .tensor import unvec, vec
+from .tensor import _require_nonempty, unvec, vec
 
 # Dense maps hold m*d doubles; reject anything past 2**28 values (2 GiB).
 _MAP_VALUE_LIMIT = 2 ** 28
@@ -36,6 +36,7 @@ class GaussianMap:
 def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
     """Draw the m x (n1*n2*n3) Gaussian measurement matrix for (m, dims, seed)."""
     n1, n2, n3 = (int(v) for v in dims)
+    _require_nonempty((n1, n2, n3))
     if m < 1:
         raise ZeroMeasurements(f"need m >= 1 measurements, got {m}")
     d = n1 * n2 * n3
@@ -80,6 +81,7 @@ class SampleMask:
 def make_bernoulli_mask(dims, p: float, seed: int) -> SampleMask:
     """Observe each entry independently with probability p."""
     n1, n2, n3 = (int(v) for v in dims)
+    _require_nonempty((n1, n2, n3))
     if not 0.0 < p <= 1.0:
         raise InvalidRate(f"sampling rate must be in (0, 1], got {p}")
     gen = substream(seed, "bernoulli-mask", n1, n2, n3, float(p))

@@ -14,7 +14,13 @@ The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
 `svt` passes a fresh one.  Each call takes one of three paths:
 
 - zero: when every slice's Frobenius norm is at most tau, no singular value
-  exceeds tau and the result is exactly zero; no SVD runs;
+  exceeds tau and the result is exactly zero; no SVD runs.  When the call
+  would take the full SVD and the last call kept no vectors (a fresh
+  state, a zero call, or a call that kept nothing), the singular values
+  are computed first, without vectors; if no slice's largest one exceeds
+  tau the result is the same exact zero, and the values stay in the state
+  as the spectrum the full SVD would have left.  Otherwise the call goes
+  on to the full SVD;
 - truncated: a randomized range finder (Halko, Martinsson & Tropp, SIAM
   Rev. 2011) on the test block [V_prev | G], with V_prev the right singular
   vectors the last call kept and G a fixed Gaussian block, followed by
@@ -45,6 +51,13 @@ sigma_1 exceeds tau (seen on fully observed 36x36x3 Gaussian noise).
 G is drawn from a fixed substream keyed by the slice shape and width, so
 each call is a pure function of its input and the state, and solves replay
 bit for bit.
+
+Every per-slice kernel runs slice-parallel through `tensor._sliced`: the
+slice norms, the singular values, the full SVD, each product, QR, Ritz SVD
+and residual of the sketch, and the rebuild of the thresholded slices.  The
+zero test, the step prediction, the all-slices certificate and `paths`
+stay in the calling thread, and each slice gets the same LAPACK call for
+any chunking, so results do not depend on the worker count.
 """
 
 import math
@@ -58,16 +71,55 @@ from .rng import substream
 from .tensor import (
     _irfft3,
     _require_tensor,
+    _require_tubes,
     _rfft3,
+    _sliced,
     _spectral_mean,
     ctranspose,
     tprod,
 )
 
 
+def _svals(f: np.ndarray) -> np.ndarray:
+    """Singular values of every slice of the stack f, shape (h, min(n1, n2))."""
+    h, n1, n2 = f.shape
+    s = np.empty((h, min(n1, n2)))
+
+    def task(lo, hi):
+        s[lo:hi] = np.linalg.svd(f[lo:hi], compute_uv=False)
+
+    _sliced(h, f.size, task)
+    return s
+
+
+# Slice elements per LAPACK call of `_svd`.  Its factors are copied into the
+# preallocated output; in batches this small the copies stay small too.  On
+# complete_table2 at seed 2, one call per chunk raised peak RSS by 9 MB over
+# one thread, batches of 2**16 elements by 4 MB.
+_SVD_BATCH = 2 ** 16
+
+
+def _svd(f: np.ndarray):
+    """Thin SVD (u, s, vh) of every slice of the stack f."""
+    h, n1, n2 = f.shape
+    k = min(n1, n2)
+    u = np.empty((h, n1, k), dtype=f.dtype)
+    s = np.empty((h, k))
+    vh = np.empty((h, k, n2), dtype=f.dtype)
+    batch = max(1, _SVD_BATCH // max(1, n1 * n2))
+
+    def task(lo, hi):
+        for i in range(lo, hi, batch):
+            j = min(i + batch, hi)
+            u[i:j], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
+
+    _sliced(h, f.size, task)
+    return u, s, vh
+
+
 def _slice_svals(a: np.ndarray) -> np.ndarray:
     """Per-slice singular values, shape (h, min(n1, n2))."""
-    return np.linalg.svd(_rfft3(a), compute_uv=False)
+    return _svals(_rfft3(a))
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -121,7 +173,7 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
         raise InvalidParameter(f"mode must be 'full' or 'skinny', got {mode!r}")
     _require_rel_tol(rank_tol)
     n1, n2, n3 = a.shape
-    ub, sb, vhb = np.linalg.svd(_rfft3(a), full_matrices=False)
+    ub, sb, vhb = _svd(_rfft3(a))
 
     if mode == "skinny":
         if k is None:
@@ -223,12 +275,29 @@ def _threshold(u, s, vh, tau: float, n3: int):
     """Rebuild the thresholded tensor from the kept columns of per-slice factors."""
     shr = np.maximum(s - tau, 0.0)
     k = int((shr > 0.0).sum(axis=1).max()) if shr.size else 0
-    x = _irfft3((u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k], n3)
-    return x, float(_spectral_mean(shr, n3).sum())
+    h, n1, n2 = u.shape[0], u.shape[1], vh.shape[2]
+    g = np.empty((h, n1, n2), dtype=complex)
+
+    def task(lo, hi):
+        np.matmul(u[lo:hi, :, :k] * shr[lo:hi, None, :k], vh[lo:hi, :k], out=g[lo:hi])
+
+    _sliced(h, g.size, task)
+    return _irfft3(g, n3), float(_spectral_mean(shr, n3).sum())
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a)[0]
+
+
+def _conj_t(f: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every slice of f."""
+    fc = np.empty_like(f)
+
+    def task(lo, hi):
+        np.conjugate(f[lo:hi], out=fc[lo:hi])
+
+    _sliced(len(f), f.size, task)
+    return fc.transpose(0, 2, 1)
 
 
 def _predicted_steps(svals, l: int, tau: float) -> float:
@@ -255,48 +324,106 @@ def _predicted_steps(svals, l: int, tau: float) -> float:
     return max(0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
 
 
-def _certified(f, u, s, vh, tau: float, l: int) -> bool:
-    """Whether the sketch's kept triplets pass the certificate of the module docstring."""
+def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
+    """The kept triplets (u, s, vh) of a sketch if they pass the certificate of
+    the module docstring, else None.  q holds the sketch's orthonormal basis
+    and ub, s, vh the SVD of Q^H F."""
     kept = s > tau
     k = int(kept.sum(axis=1).max())
     if k > l - _SPARE or (~kept & (s > _TAIL_MARGIN * tau)).any():
-        return False
-    res = np.abs(f @ vh[:, :k].conj().transpose(0, 2, 1) - u * s[:, None, :k]) ** 2
-    res = np.sqrt(np.where(kept[:, :k], res.sum(axis=1), 0.0).sum(axis=1))
-    return bool((res <= _RESIDUAL_TOL * s[:, 0]).all())
+        return None
+    h, n1, _ = q.shape
+    u = np.empty((h, n1, k), dtype=complex)
+    res = np.empty(h)
+
+    def task(lo, hi):
+        uc = np.matmul(q[lo:hi], ub[lo:hi, :, :k], out=u[lo:hi])
+        r = np.abs(f[lo:hi] @ vh[lo:hi, :k].conj().transpose(0, 2, 1)
+                   - uc * s[lo:hi, None, :k]) ** 2
+        res[lo:hi] = np.sqrt(np.where(kept[lo:hi, :k], r.sum(axis=1), 0.0).sum(axis=1))
+
+    _sliced(h, f.size, task)
+    return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
 
-def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState):
-    """Kept singular triplets (u, s, vh) of every slice from a warm sketch, or None.
+def _sketch_width(state: _SvtState) -> int:
+    return (0 if state.v is None else state.v.shape[2]) + _OVERSAMPLE
 
-    u holds only the columns some slice keeps; s holds all l Ritz values.
-    None hands the call to the full SVD (see the module docstring).
+
+def _planned_steps(f: np.ndarray, tau: float, state: _SvtState):
+    """Power steps a warm sketch of f starts with, or None for the full SVD.
+
+    None when the slices are smaller than `_MIN_SIDE` or twice the sketch
+    width, or when the last spectrum predicts more than `_POWER_CAP` steps
+    (always, with no last spectrum).
     """
-    h, n1, n2 = f.shape
-    k_prev = 0 if state.v is None else state.v.shape[2]
-    l = k_prev + _OVERSAMPLE
-    if min(n1, n2) < max(_MIN_SIDE, 2 * l):
+    l = _sketch_width(state)
+    if min(f.shape[1:]) < max(_MIN_SIDE, 2 * l):
         return None
     steps = _predicted_steps(state.svals, l, tau)
-    if steps > _POWER_CAP:
-        return None
+    return None if steps > _POWER_CAP else steps
+
+
+def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, steps: int):
+    """Kept singular triplets (u, s, vh) of every slice from a warm sketch, or None.
+
+    The sketch starts with the planned number of power steps.  u holds
+    only the columns some slice keeps; s holds all l Ritz values.  None
+    hands the call to the full SVD (see the module docstring).  The sketch,
+    its power steps and the Ritz SVD run slice-parallel; the rank, the
+    certificate and the decision to take another step read every slice.
+    """
+    h, n1, n2 = f.shape
+    l = _sketch_width(state)
     omega = state.gauss(h, n1, n2, l)
-    if k_prev:
+    if state.v is not None:
         omega = np.concatenate([state.v, omega], axis=2)
-    fh = f.conj().transpose(0, 2, 1)
-    q = _orth(f @ omega)
-    for _ in range(steps):
-        q = _orth(f @ _orth(fh @ q))
+    fh = _conj_t(f) if steps else None
+    q = np.empty((h, n1, l), dtype=complex)
+    ub = np.empty((h, l, l), dtype=complex)
+    s = np.empty((h, l))
+    vh = np.empty((h, l, n2), dtype=complex)
+
+    def power(lo, hi, qc):
+        return _orth(f[lo:hi] @ _orth(fh[lo:hi] @ qc))
+
+    def ritz(lo, hi):
+        ub[lo:hi], s[lo:hi], vh[lo:hi] = np.linalg.svd(
+            q[lo:hi].conj().transpose(0, 2, 1) @ f[lo:hi], full_matrices=False)
+
+    def sketch(lo, hi):
+        qc = _orth(f[lo:hi] @ omega[lo:hi])
+        for _ in range(steps):
+            qc = power(lo, hi, qc)
+        q[lo:hi] = qc
+        ritz(lo, hi)
+
+    def step(lo, hi):
+        q[lo:hi] = power(lo, hi, q[lo:hi])
+        ritz(lo, hi)
+
+    _sliced(h, f.size, sketch)
     while True:
-        ub, s, vh = np.linalg.svd(q.conj().transpose(0, 2, 1) @ f, full_matrices=False)
-        k = int((s > tau).sum(axis=1).max())
-        u = q @ ub[:, :, :k]
-        if _certified(f, u, s, vh, tau, l):
-            return u, s, vh[:, :k]
+        factors = _certified_triplets(f, q, ub, s, vh, tau, l)
+        if factors is not None:
+            return factors
         if steps == _POWER_CAP:
             return None
-        q = _orth(f @ _orth(fh @ q))
+        if fh is None:
+            fh = _conj_t(f)
+        _sliced(h, f.size, step)
         steps += 1
+
+
+def _slice_norms(f: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every slice of f."""
+    norms = np.empty(len(f))
+
+    def task(lo, hi):
+        norms[lo:hi] = np.linalg.norm(f[lo:hi], axis=(1, 2))
+
+    _sliced(len(f), f.size, task)
+    return norms
 
 
 def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
@@ -308,14 +435,17 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """
     n3 = y.shape[2]
     f = _rfft3(y)
-    if np.linalg.norm(f, axis=(1, 2)).max() <= tau:
-        state.v = state.svals = None
-        state.paths["zero"] += 1
-        return np.zeros(y.shape), 0.0
-    factors = _truncated_svd(f, tau, state)
+    if _slice_norms(f).max() <= tau:
+        return _zero(y, state, None)
+    steps = _planned_steps(f, tau, state)
+    if steps is None and state.v is None:
+        svals = _svals(f)
+        if svals[:, 0].max() <= tau:
+            return _zero(y, state, svals)
+    factors = None if steps is None else _truncated_svd(f, tau, state, steps)
     path = "truncated"
     if factors is None:
-        factors = np.linalg.svd(f, full_matrices=False)
+        factors = _svd(f)
         path = "full"
     state.paths[path] += 1
     u, s, vh = factors
@@ -323,6 +453,13 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     state.v = vh[:, :k].conj().transpose(0, 2, 1) if k else None
     state.svals = s
     return _threshold(u, s, vh, tau, n3)
+
+
+def _zero(y: np.ndarray, state: _SvtState, svals):
+    """The exact zero of a zero-path call; svals is the spectrum it leaves, or None."""
+    state.v, state.svals = None, svals
+    state.paths["zero"] += 1
+    return np.zeros(y.shape), 0.0
 
 
 def svt(y: np.ndarray, tau: float) -> np.ndarray:
@@ -334,8 +471,9 @@ def svt(y: np.ndarray, tau: float) -> np.ndarray:
     the result is the exact zero or comes from the full SVD.
     """
     y = _require_tensor(y)
-    if tau < 0:
-        raise NegativeThreshold(f"threshold must be >= 0, got {tau}")
+    _require_tubes(y)
+    if not tau >= 0:  # also rejects NaN
+        raise NegativeThreshold(f"threshold must be a number >= 0, got {tau}")
     if tau == 0.0:
         return y.copy()
     return _svt_freq(y, tau, _SvtState())[0]

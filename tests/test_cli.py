@@ -379,6 +379,13 @@ def test_phase_non_numeric_values(tmp_path, monkeypatch):
                                      replay=False)
 
 
+@pytest.mark.parametrize("kind, values", [("completion", "2,0.5"), ("gaussian", "0")])
+def test_phase_values_out_of_range(tmp_path, monkeypatch, kind, values):
+    args = [*_PHASE, "--values", values, "--trials", "1"]
+    args[1] = kind
+    _assert_usage_error_before_solve(monkeypatch, tmp_path, args)
+
+
 def test_gen_zero_dimension(tmp_path, monkeypatch):
     _assert_usage_error_before_solve(monkeypatch, tmp_path, ["gen", "4", "4", "0", "1"])
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import EmptyTensor, InvalidEpsilon, InvalidParameter, InvalidRank
+from tubal.errors import (
+    EmptyTensor,
+    InvalidEpsilon,
+    InvalidParameter,
+    InvalidRank,
+    InvalidRate,
+    ZeroMeasurements,
+)
 
 RNG = np.random.default_rng(5150)
 
@@ -181,6 +188,23 @@ def test_drivers_propagate_programming_errors(monkeypatch):
         tb.run_table2([(4, 2, 1, 0.9)])
     with pytest.raises(TypeError):
         tb.phase_grid("completion", (4, 4, 2), values=[0.9], ranks=[1], trials=1)
+
+
+@pytest.mark.parametrize("kind, values, error", [
+    ("completion", [0.5, 2.0], InvalidRate),
+    ("completion", [0.0], InvalidRate),
+    ("completion", [float("nan")], InvalidRate),
+    ("gaussian", [40, 0], ZeroMeasurements),
+    ("gaussian", [float("nan")], ZeroMeasurements),
+    ("gaussian", [float("inf")], ZeroMeasurements),
+])
+def test_phase_grid_checks_values_before_any_trial(monkeypatch, kind, values, error):
+    def no_trial(*_, **__):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr("tubal.lab._trial", no_trial)
+    with pytest.raises(error):
+        tb.phase_grid(kind, (4, 4, 2), values=values, ranks=[1], trials=1)
 
 
 def test_run_table1_small_row():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import DimMismatch, InvalidRate, MapTooLarge, ZeroMeasurements
+from tubal.errors import DimMismatch, EmptyTensor, InvalidRate, MapTooLarge, ZeroMeasurements
 
 RNG = np.random.default_rng(2023)
 
@@ -82,6 +82,14 @@ def test_mask_invalid_rate():
     for p in (0.0, -0.1, 1.5):
         with pytest.raises(InvalidRate):
             tb.make_bernoulli_mask((2, 2, 2), p, seed=0)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, -1), (-2, 4, 4), (4, 0, 4)])
+def test_constructors_reject_empty_dims(dims):
+    with pytest.raises(EmptyTensor):
+        tb.make_bernoulli_mask(dims, 0.5, 0)
+    with pytest.raises(EmptyTensor):
+        tb.make_gaussian_map(5, dims, 0)
 
 
 def test_projections_partition_and_scale():

@@ -194,8 +194,9 @@ def test_gaussian_deterministic_and_history():
     assert len(r1.history) == r1.iterations
     for row1, row2 in zip(r1.history, r2.history):
         assert row1 == row2
-    # slices below the sketch's minimum side: the exact zero, then the full SVD
-    assert r1.svt_paths == {"zero": 60, "truncated": 0, "full": 90}
+    # slices below the sketch's minimum side: the exact zero (from the norms,
+    # or from the singular values while no vectors are kept), then the full SVD
+    assert r1.svt_paths == {"zero": 61, "truncated": 0, "full": 89}
     mus = [row["mu"] for row in r1.history]
     cfg0 = AdmmConfig()
     assert mus == [min(cfg0.mu0 * cfg0.rho ** k, cfg0.mu_max)

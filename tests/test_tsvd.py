@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubal as tb
-from tubal.errors import InvalidParameter, NegativeThreshold
+from tubal.errors import EmptyTensor, InvalidParameter, NegativeThreshold
 
 # the package exports the function tsvd under the module's name
 tsvd_module = importlib.import_module("tubal.tsvd")
@@ -148,6 +148,18 @@ def test_svt_trivial_and_matrix_cases():
     assert np.abs(out[:, :, 0] - np.diag([1.0, 0.0])).max() <= 1e-12
     with pytest.raises(NegativeThreshold):
         tb.svt(y, -0.5)
+    with pytest.raises(NegativeThreshold):
+        tb.svt(y, float("nan"))
+
+
+def test_zero_third_dimension_rejected():
+    a = np.zeros((3, 2, 0))
+    for call in (lambda: tb.tprod(a, np.zeros((2, 4, 0))), lambda: tb.tsvd(a),
+                 lambda: tb.tnn(a), lambda: tb.tubal_rank(a), lambda: tb.spectral_norm(a),
+                 lambda: tb.svt(a, 0.5), lambda: tb.svt(a, 0.0), lambda: tb.fft_dim3(a),
+                 lambda: tb.ifft_dim3(a.astype(complex))):
+        with pytest.raises(EmptyTensor):
+            call()
 
 
 def _svt_slice_oracle(y, tau):
@@ -246,6 +258,21 @@ def test_svt_zero_path_is_exact():
     assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
     assert state.paths == {"zero": 1, "truncated": 0, "full": 0}
     assert np.abs(tb.svt(y, tau)).max() == 0.0
+
+
+def test_svt_values_first_zero():
+    # no slice keeps a singular value, but every slice's Frobenius norm is
+    # above tau: with no kept vectors the singular values alone give the zero
+    # and they stay as the last spectrum, as the full SVD's would
+    y = _rand((40, 36, 4), 93)
+    tau = 1.01 * tb.spectral_norm(y)
+    f = tsvd_module._rfft3(y)
+    assert tsvd_module._slice_norms(f).min() > tau
+    state = tsvd_module._SvtState()
+    x, t = tsvd_module._svt_freq(y, tau, state)
+    assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
+    assert state.paths == {"zero": 1, "truncated": 0, "full": 0}
+    assert state.v is None and np.array_equal(state.svals, tsvd_module._svals(f))
 
 
 def _rank_four_slice(tail):
