@@ -25,11 +25,7 @@ Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
 full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
 Omega, exactly in floating point, so the SVT input is the last x with
 b + dual/mu on Omega (b the observed data) and res_e is x's largest change
-off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).  The
-step's elementwise work (the SVT input, the dual step and the residual
-maxima) runs on chunks of the flat index through `tensor._sliced`; each
-entry is computed as it would be in one piece and a maximum does not
-depend on the order, so the result does not depend on the worker count.
+off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).
 
 Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),
 infinity-norm stopping criteria and one `tsvd._SvtState` per solve, through
@@ -46,7 +42,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, InvalidSolverConfig
 from .sensing import GaussianMap, SampleMask, _check_mask_dims
-from .tensor import _require_finite, _require_nonempty, _sliced, unvec, vec
+from .tensor import _require_finite, _require_nonempty, unvec, vec
 from .tsvd import _SvtState, _svt_freq
 
 
@@ -215,42 +211,20 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     x = np.zeros(mask.dims)
     dual = np.zeros(obs.size)
 
-    # The elementwise work runs on chunks of the flat index (see
-    # tensor._sliced); obs and unobs are sorted, so a chunk's entries of
-    # them are one slice of each.  Each chunk reports its own maxima.
-    def own(idx, lo, hi):
-        return slice(*idx.searchsorted((lo, hi)))
-
     def step(mu, svt_state):
-        nonlocal x
-        x_flat = x.reshape(-1)
-        y = np.empty(x.size)  # the last x off Omega, b + dual/mu on it
-
-        def fill(lo, hi):
-            y[lo:hi] = x_flat[lo:hi]
-            o = own(obs, lo, hi)
-            y.put(obs[o], b[o] + dual[o] / mu)
-
-        _sliced(x.size, x.size, fill)
-        x_new, objective = _svt_freq(y.reshape(x.shape), 1.0 / mu, svt_state)
-        new_flat = x_new.reshape(-1)
-        gap = np.empty(obs.size)
-        change = np.empty(x.size)
-        maxima = {}
-
-        def update(lo, hi):
-            o, u = own(obs, lo, hi), own(unobs, lo, hi)
-            gap[o] = b[o] - new_flat.take(obs[o])
-            dual[o] += mu * gap[o]
-            c = np.abs(np.subtract(new_flat[lo:hi], x_flat[lo:hi], out=change[lo:hi]),
-                       out=change[lo:hi])
-            maxima[lo] = (c.max(initial=0.0), change.take(unobs[u]).max(initial=0.0),
-                          np.abs(gap[o]).max(initial=0.0))
-
-        _sliced(x.size, x.size, update)
-        res_x, res_e, res_feas = np.max(list(maxima.values()), axis=0)
+        nonlocal x, dual
+        y = x.copy()  # the last x off Omega
+        y.put(obs, b + dual / mu)
+        x_new, objective = _svt_freq(y, 1.0 / mu, svt_state)
+        gap = b - x_new.take(obs)
+        dual += mu * gap
+        change = np.abs(x_new - x)
+        residuals = {
+            "res_x": float(change.max()),
+            "res_e": float(change.take(unobs).max(initial=0.0)),
+            "res_feas": float(np.abs(gap).max(initial=0.0)),
+        }
         x = x_new
-        return x, objective, {"res_x": float(res_x), "res_e": float(res_e),
-                              "res_feas": float(res_feas)}
+        return x, objective, residuals
 
     return _admm(cfg, step, t0)

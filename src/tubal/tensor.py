@@ -29,6 +29,17 @@ Stacks of fewer than ``_PARALLEL_MIN`` elements run as one chunk.  A chunk
 applies to each slice exactly the numpy/LAPACK call the whole stack would
 get, so results are bitwise identical for any worker count; every decision
 that reads more than one slice stays in the calling thread.
+
+The mask is read once, when this module is imported, so a mask set later
+(``os.sched_setaffinity``) does not change the chunk count; set it at
+launch (``taskset``).  A CPU quota of the process's cgroup is not read.
+The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
+thread per call; with the BLAS threads left at their default, each chunk's
+LAPACK call may start threads of its own and the chunks compete for the
+CPUs, so the gain in that setting is not established.
+
+The FFTs write into their preallocated stacks through ``out=``, which
+numpy has had since 2.0.
 """
 
 import os

@@ -15,12 +15,15 @@ The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
 
 - zero: when every slice's Frobenius norm is at most tau, no singular value
   exceeds tau and the result is exactly zero; no SVD runs.  When the call
-  would take the full SVD and the last call kept no vectors (a fresh
-  state, a zero call, or a call that kept nothing), the singular values
-  are computed first, without vectors; if no slice's largest one exceeds
-  tau the result is the same exact zero, and the values stay in the state
-  as the spectrum the full SVD would have left.  Otherwise the call goes
-  on to the full SVD;
+  would take the full SVD and the last call of the state kept no vectors
+  (a zero call, or a call that kept nothing), the singular values are
+  computed first, without vectors; if no slice's largest one exceeds tau
+  the result is the same exact zero, and the values stay in the state as
+  the spectrum the full SVD would have left.  Otherwise the call goes on
+  to the full SVD, and the values were spent for nothing.  A fresh state
+  (every public `svt` call, and the first call of a solve) skips this
+  step and goes straight to the full SVD, so a `svt` whose threshold
+  keeps a value costs one SVD, not two;
 - truncated: a randomized range finder (Halko, Martinsson & Tropp, SIAM
   Rev. 2011) on the test block [V_prev | G], with V_prev the right singular
   vectors the last call kept and G a fixed Gaussian block, followed by
@@ -438,7 +441,7 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     if _slice_norms(f).max() <= tau:
         return _zero(y, state, None)
     steps = _planned_steps(f, tau, state)
-    if steps is None and state.v is None:
+    if steps is None and state.v is None and any(state.paths.values()):
         svals = _svals(f)
         if svals[:, 0].max() <= tau:
             return _zero(y, state, svals)
@@ -468,7 +471,8 @@ def svt(y: np.ndarray, tau: float) -> np.ndarray:
     Minimizes tau*||x||_tnn + 0.5*||x - y||_F^2.  The 1/n3 factors in the
     norm and in Parseval's identity cancel, so each Fourier slice is
     soft-thresholded by exactly tau.  A fresh state knows no spectrum, so
-    the result is the exact zero or comes from the full SVD.
+    the result is the exact zero of the norm test or comes from the full
+    SVD.
     """
     y = _require_tensor(y)
     _require_tubes(y)

@@ -68,7 +68,7 @@ def _spectral_outputs(shape, seed):
         tb.tprod(a, b),
         f.u, f.s, f.v, skinny.u, skinny.s, skinny.v,
         tb.svt(a, 0.5 * sv[0]),  # full SVD
-        tb.svt(a, 1.01 * slice_top.max()),  # zero from the singular values
+        tb.svt(a, 1.01 * slice_top.max()),  # full SVD that keeps nothing
         np.array([tb.tnn(a), tb.spectral_norm(a), tb.avg_rank(a), tb.tubal_rank(a)]),
     ]
 

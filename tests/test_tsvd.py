@@ -262,17 +262,33 @@ def test_svt_zero_path_is_exact():
 
 def test_svt_values_first_zero():
     # no slice keeps a singular value, but every slice's Frobenius norm is
-    # above tau: with no kept vectors the singular values alone give the zero
-    # and they stay as the last spectrum, as the full SVD's would
+    # above tau: after a call that kept no vectors the singular values alone
+    # give the zero and they stay as the last spectrum, as the full SVD's would
     y = _rand((40, 36, 4), 93)
     tau = 1.01 * tb.spectral_norm(y)
     f = tsvd_module._rfft3(y)
     assert tsvd_module._slice_norms(f).min() > tau
     state = tsvd_module._SvtState()
+    tsvd_module._svt_freq(y, 2.0 * np.linalg.norm(y), state)  # zero from the norms
     x, t = tsvd_module._svt_freq(y, tau, state)
     assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
-    assert state.paths == {"zero": 1, "truncated": 0, "full": 0}
+    assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
     assert state.v is None and np.array_equal(state.svals, tsvd_module._svals(f))
+
+
+def test_svt_fresh_state_skips_values_first(monkeypatch):
+    # a fresh state (every public svt call) goes straight to the full SVD:
+    # a threshold that keeps a value would otherwise pay for two SVDs
+    y = _rand((40, 36, 4), 93)
+    taus = (0.5 * tb.spectral_norm(y), 1.01 * tb.spectral_norm(y))
+    calls = []
+    monkeypatch.setattr(tsvd_module, "_svals",
+                        lambda f: calls.append(f) or np.linalg.svd(f, compute_uv=False))
+    for tau in taus:
+        state = tsvd_module._SvtState()
+        tsvd_module._svt_freq(y, tau, state)
+        assert state.paths == {"zero": 0, "truncated": 0, "full": 1}
+    assert calls == []
 
 
 def _rank_four_slice(tail):
