@@ -34,9 +34,10 @@ The mask is read once, when this module is imported, so a mask set later
 (``os.sched_setaffinity``) does not change the chunk count; set it at
 launch (``taskset``).  A CPU quota of the process's cgroup is not read.
 The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
-thread per call; with the BLAS threads left at their default, each chunk's
-LAPACK call may start threads of its own and the chunks compete for the
-CPUs, so the gain in that setting is not established.
+thread per call.  With OpenBLAS left at its default thread count, each
+chunk's LAPACK call starts threads of its own, the chunks compete for the
+CPUs, and the n=100 Table-2 row was slower than with the slices on one
+thread (see README).
 
 The FFTs write into their preallocated stacks through ``out=``, which
 numpy has had since 2.0.

@@ -101,7 +101,7 @@ def _completion_outputs(dims, r, p, seed):
 def test_completion_bitwise_for_any_worker_count(monkeypatch, dims, r, p):
     one = _with_workers(monkeypatch, 1, lambda: _completion_outputs(dims, r, p, seed=71))
     # more workers than cores, switching threads often: a chunk that lost
-    # its output or its residual maxima would change the result
+    # its output would change the result
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
