@@ -244,7 +244,6 @@ def _add_cfg_flags(p):
     p.add_argument("--rho", type=float, default=AdmmConfig.rho)
     p.add_argument("--mu0", type=float, default=AdmmConfig.mu0)
     p.add_argument("--mu-max", dest="mu_max", type=float, default=AdmmConfig.mu_max)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-3)
 
 
 def _number_list(text, cast):
@@ -278,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", action="store_true")
     p.add_argument("--out", required=True)
     _add_cfg_flags(p)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-3)
 
     p = sub.add_parser("complete", help="complete a tensor from sampled entries")
     p.add_argument("tensor")
@@ -288,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", action="store_true")
     p.add_argument("--out", required=True)
     _add_cfg_flags(p)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-3)
 
     p = sub.add_parser("phase", help="empirical phase-transition grid")
     p.add_argument("kind", choices=("gaussian", "completion"))

@@ -25,7 +25,7 @@ from .rng import derive_seed, normal_fill, substream
 from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
 from .tensor import _require_nonempty, ctranspose, tprod
-from .tsvd import TSvdFactors, tubal_rank
+from .tsvd import TSvdFactors, _require_rel_tol, tubal_rank
 
 
 def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
@@ -187,6 +187,7 @@ def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg):
 
 
 def _run_table(kind, rows, base_seed, cfg, rank_tol) -> list:
+    _require_rel_tol(rank_tol)
     table, rate, sensing = (("table1", "m", "map") if kind == "gaussian"
                             else ("table2", "p", "mask"))
     out = []
@@ -212,7 +213,9 @@ def run_table1(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
 
     rows: iterable of (n, n3, r, m).  Returns one dict per row with the
     verdict fields; a row whose trial is rejected or fails to converge in
-    LAPACK records its error and the batch continues.
+    LAPACK records its error and the batch continues.  rank_tol, the
+    relative tolerance of the reported ranks, is checked before the first
+    row: outside [0, 1) it raises InvalidParameter.
     """
     return _run_table("gaussian", rows, base_seed, cfg, rank_tol)
 
@@ -261,10 +264,12 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     tensors); kind="completion" treats it as a Bernoulli rate p (1/n-scale
     tensors).  A trial succeeds when the relative error is at or below the
     threshold.  Per-trial substreams depend only on (base_seed, value, r,
-    trial), so any execution order reproduces the same grid.  Every value is
-    checked before the first trial: a rate outside (0, 1] raises
-    InvalidRate and a measurement count below 1, or not finite,
-    ZeroMeasurements.
+    trial), so any execution order reproduces the same grid.  Every
+    argument is checked before the first trial: a rate outside (0, 1]
+    raises InvalidRate; a measurement count below 1, or not finite,
+    ZeroMeasurements; a count that is not a whole number, or a threshold
+    that is negative or not finite, InvalidParameter; a rank outside
+    [1, min(n1, n2)] InvalidRank.
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
@@ -272,13 +277,20 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if not values or not ranks:
         raise InvalidParameter("axis lists must be nonempty")
+    if not 0 <= threshold < math.inf:  # also rejects NaN
+        raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
     _require_nonempty(dims)
     for v in values:
         if kind == "completion" and not 0.0 < float(v) <= 1.0:
             raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
         if kind == "gaussian" and not 1 <= float(v) < math.inf:
             raise ZeroMeasurements(f"need a finite count of m >= 1 measurements, got {v}")
+        if kind == "gaussian" and not float(v).is_integer():
+            raise InvalidParameter(f"a measurement count must be a whole number, got {v}")
     n1, n2, n3 = dims
+    for r in ranks:
+        if not 1 <= r <= min(n1, n2):
+            raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=list(ranks), trials=trials, base_seed=base_seed,
                      threshold=threshold)

@@ -23,8 +23,10 @@ The Fourier slices are independent, so the per-slice kernels here and in
 ``tsvd`` run in parallel through ``_sliced``: it splits the leading axis
 of a stack into one contiguous chunk per CPU in the process's affinity
 mask (``os.cpu_count()`` where the platform has no affinity call), runs
-the first chunk in the calling thread and the others on a lazily created
-thread pool, and every chunk writes its own part of a preallocated output.
+the first chunk in the calling thread and the others on a thread pool, and
+every chunk writes its own part of a preallocated output.  The pool is
+built when this module is imported, and again in a forked child, which has
+none of its parent's threads; it starts no thread before its first task.
 Stacks of fewer than ``_PARALLEL_MIN`` elements run as one chunk.  A chunk
 applies to each slice exactly the numpy/LAPACK call the whole stack would
 get, so results are bitwise identical for any worker count; every decision
@@ -44,7 +46,6 @@ numpy has had since 2.0.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import NamedTuple
 
@@ -83,18 +84,18 @@ def _cpu_count() -> int:
 # 3.34 s.
 _WORKERS = _cpu_count()
 _PARALLEL_MIN = 2 ** 15
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _drop_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _new_pool():
+    """Give this process a pool of _WORKERS - 1 threads; none starts before its first task."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="tubal-slices")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
     # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_drop_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _sliced(n: int, size: int, task) -> None:
@@ -107,14 +108,10 @@ def _sliced(n: int, size: int, task) -> None:
     and calls no public function of the package, so a tracer that wraps
     those (perfbench's) sees calls from the calling thread only.
     """
-    global _pool
     parts = min(_WORKERS, n) if size >= _PARALLEL_MIN else 1
     if parts <= 1:
         task(0, n)
         return
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tubal-slices")
     edges = [n * i // parts for i in range(parts + 1)]
     futures = [_pool.submit(task, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
     try:

@@ -33,9 +33,13 @@ The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
   last call), when the last spectrum predicts more than `_POWER_CAP` power
   steps, or when the certificate still fails after them.
 
-The prediction takes rho = sigma_l / sigma_k from the last spectrum, with
-k the rank it keeps at this tau and k >= 1 on slices that keep nothing: a
-spectrum without a gap (full tubal rank) gives rho near 1 and the full SVD.
+One planner, `_plan`, reads the state and picks the path between a sketch
+and the full SVD: it returns the sketch width l and the power steps the
+sketch starts with, or None for the full SVD.  The prediction takes
+rho = sigma_l / sigma_k from the last spectrum, with k the rank it keeps
+at this tau and k >= 1 on slices that keep nothing: a spectrum without a
+gap (full tubal rank) gives rho near 1 and the full SVD.  A sketch whose
+certificate fails takes one more power step at a time, up to `_POWER_CAP`.
 
 The truncated result is accepted only if, on every slice, the largest Ritz
 value not kept is at most `_TAIL_MARGIN` * tau, the kept rank leaves
@@ -56,11 +60,14 @@ each call is a pure function of its input and the state, and solves replay
 bit for bit.
 
 Every per-slice kernel runs slice-parallel through `tensor._sliced`: the
-slice norms, the singular values, the full SVD, each product, QR, Ritz SVD
-and residual of the sketch, and the rebuild of the thresholded slices.  The
-zero test, the step prediction, the all-slices certificate and `paths`
-stay in the calling thread, and each slice gets the same LAPACK call for
-any chunking, so results do not depend on the worker count.
+slice norms, the SVD (`_svd`, with or without vectors), one task per chunk
+for the sketch (its products, QR, power steps and Ritz SVD), the
+certificate's residuals, and the rebuild of the thresholded slices.  A
+chunk that takes a power step forms the conjugate transpose of its own
+slices inside its task; there is no separate conjugate kernel.  The zero
+test, the plan, the all-slices certificate and `paths` stay in the calling
+thread, and each slice gets the same LAPACK call for any chunking, so
+results do not depend on the worker count.
 """
 
 import math
@@ -83,18 +90,6 @@ from .tensor import (
 )
 
 
-def _svals(f: np.ndarray) -> np.ndarray:
-    """Singular values of every slice of the stack f, shape (h, min(n1, n2))."""
-    h, n1, n2 = f.shape
-    s = np.empty((h, min(n1, n2)))
-
-    def task(lo, hi):
-        s[lo:hi] = np.linalg.svd(f[lo:hi], compute_uv=False)
-
-    _sliced(h, f.size, task)
-    return s
-
-
 # Slice elements per LAPACK call of `_svd`.  Its factors are copied into the
 # preallocated output; in batches this small the copies stay small too.  On
 # complete_table2 at seed 2, one call per chunk raised peak RSS by 9 MB over
@@ -102,27 +97,32 @@ def _svals(f: np.ndarray) -> np.ndarray:
 _SVD_BATCH = 2 ** 16
 
 
-def _svd(f: np.ndarray):
-    """Thin SVD (u, s, vh) of every slice of the stack f."""
+def _svd(f: np.ndarray, vectors: bool = True):
+    """Thin SVD (u, s, vh) of every slice of the stack f; with vectors=False
+    only the singular values s, shape (h, min(n1, n2))."""
     h, n1, n2 = f.shape
     k = min(n1, n2)
-    u = np.empty((h, n1, k), dtype=f.dtype)
     s = np.empty((h, k))
-    vh = np.empty((h, k, n2), dtype=f.dtype)
+    if vectors:
+        u = np.empty((h, n1, k), dtype=f.dtype)
+        vh = np.empty((h, k, n2), dtype=f.dtype)
     batch = max(1, _SVD_BATCH // max(1, n1 * n2))
 
     def task(lo, hi):
         for i in range(lo, hi, batch):
             j = min(i + batch, hi)
-            u[i:j], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
+            if vectors:
+                u[i:j], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
+            else:
+                s[i:j] = np.linalg.svd(f[i:j], compute_uv=False)
 
     _sliced(h, f.size, task)
-    return u, s, vh
+    return (u, s, vh) if vectors else s
 
 
 def _slice_svals(a: np.ndarray) -> np.ndarray:
     """Per-slice singular values, shape (h, min(n1, n2))."""
-    return _svals(_rfft3(a))
+    return _svd(_rfft3(a), vectors=False)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -292,41 +292,6 @@ def _orth(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(a)[0]
 
 
-def _conj_t(f: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every slice of f."""
-    fc = np.empty_like(f)
-
-    def task(lo, hi):
-        np.conjugate(f[lo:hi], out=fc[lo:hi])
-
-    _sliced(len(f), f.size, task)
-    return fc.transpose(0, 2, 1)
-
-
-def _predicted_steps(svals, l: int, tau: float) -> float:
-    """Power steps a warm sketch of width l should need at tau, from the last spectrum.
-
-    The rank k is guessed per slice from the last spectrum at this tau; a
-    slice that keeps nothing must still resolve its top value, so k >= 1
-    there.  rho = sigma_l / sigma_k is taken at the worst slice, and the warm
-    start counts as one step, so q steps leave an error of about
-    rho^(2q+3).  With no last spectrum nothing can be predicted.
-    """
-    if svals is None:
-        return math.inf
-    kept = (svals > tau).sum(axis=1)
-    if kept.max() > l - _SPARE:
-        return math.inf
-    top = svals[np.arange(svals.shape[0]), np.maximum(kept, 1) - 1]
-    sigma_l = svals[:, min(l, svals.shape[1]) - 1]
-    rho = float((sigma_l[top > 0] / top[top > 0]).max(initial=0.0))
-    if rho >= 1.0:
-        return math.inf
-    if rho == 0.0:
-        return 0
-    return max(0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
-
-
 def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     """The kept triplets (u, s, vh) of a sketch if they pass the certificate of
     the module docstring, else None.  q holds the sketch's orthonormal basis
@@ -349,73 +314,73 @@ def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
 
-def _sketch_width(state: _SvtState) -> int:
-    return (0 if state.v is None else state.v.shape[2]) + _OVERSAMPLE
+def _plan(f: np.ndarray, tau: float, state: _SvtState):
+    """(l, steps): the width of a warm sketch of f and the power steps it
+    starts with, or None for the full SVD.
 
-
-def _planned_steps(f: np.ndarray, tau: float, state: _SvtState):
-    """Power steps a warm sketch of f starts with, or None for the full SVD.
-
-    None when the slices are smaller than `_MIN_SIDE` or twice the sketch
-    width, or when the last spectrum predicts more than `_POWER_CAP` steps
-    (always, with no last spectrum).
+    None when the slices are smaller than `_MIN_SIDE` or twice l, when the
+    state has no last spectrum, or when that spectrum predicts more than
+    `_POWER_CAP` steps.  The rank k is guessed per slice from the last
+    spectrum at this tau; a slice that keeps nothing must still resolve its
+    top value, so k >= 1 there.  rho = sigma_l / sigma_k is taken at the
+    worst slice, and the warm start counts as one step, so q steps leave an
+    error of about rho^(2q+3).
     """
-    l = _sketch_width(state)
-    if min(f.shape[1:]) < max(_MIN_SIDE, 2 * l):
+    l = (0 if state.v is None else state.v.shape[2]) + _OVERSAMPLE
+    svals = state.svals
+    if min(f.shape[1:]) < max(_MIN_SIDE, 2 * l) or svals is None:
         return None
-    steps = _predicted_steps(state.svals, l, tau)
-    return None if steps > _POWER_CAP else steps
+    kept = (svals > tau).sum(axis=1)
+    if kept.max() > l - _SPARE:
+        return None
+    top = svals[np.arange(svals.shape[0]), np.maximum(kept, 1) - 1]
+    sigma_l = svals[:, min(l, svals.shape[1]) - 1]
+    rho = float((sigma_l[top > 0] / top[top > 0]).max(initial=0.0))
+    if rho >= 1.0:
+        return None
+    steps = 0 if rho == 0.0 else max(
+        0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
+    return (l, steps) if steps <= _POWER_CAP else None
 
 
-def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, steps: int):
+def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: int):
     """Kept singular triplets (u, s, vh) of every slice from a warm sketch, or None.
 
-    The sketch starts with the planned number of power steps.  u holds
-    only the columns some slice keeps; s holds all l Ritz values.  None
-    hands the call to the full SVD (see the module docstring).  The sketch,
-    its power steps and the Ritz SVD run slice-parallel; the rank, the
-    certificate and the decision to take another step read every slice.
+    The sketch of width l starts with the planned number of power steps
+    and takes one more at a time, up to `_POWER_CAP`, while the certificate
+    fails.  u holds only the columns some slice keeps; s holds all l Ritz
+    values.  None hands the call to the full SVD (see the module
+    docstring).  The sketch, its power steps and the Ritz SVD run
+    slice-parallel; the rank, the certificate and the decision to take
+    another step read every slice.
     """
     h, n1, n2 = f.shape
-    l = _sketch_width(state)
     omega = state.gauss(h, n1, n2, l)
     if state.v is not None:
         omega = np.concatenate([state.v, omega], axis=2)
-    fh = _conj_t(f) if steps else None
     q = np.empty((h, n1, l), dtype=complex)
     ub = np.empty((h, l, l), dtype=complex)
     s = np.empty((h, l))
     vh = np.empty((h, l, n2), dtype=complex)
+    fresh, todo = True, steps
 
-    def power(lo, hi, qc):
-        return _orth(f[lo:hi] @ _orth(fh[lo:hi] @ qc))
-
-    def ritz(lo, hi):
-        ub[lo:hi], s[lo:hi], vh[lo:hi] = np.linalg.svd(
-            q[lo:hi].conj().transpose(0, 2, 1) @ f[lo:hi], full_matrices=False)
-
-    def sketch(lo, hi):
-        qc = _orth(f[lo:hi] @ omega[lo:hi])
-        for _ in range(steps):
-            qc = power(lo, hi, qc)
+    def task(lo, hi):
+        # a fresh sketch, or the chunk's last basis; then todo power steps
+        fc = f[lo:hi]
+        qc = _orth(fc @ omega[lo:hi]) if fresh else q[lo:hi]
+        fh = fc.conj().transpose(0, 2, 1) if todo else None
+        for _ in range(todo):
+            qc = _orth(fc @ _orth(fh @ qc))
         q[lo:hi] = qc
-        ritz(lo, hi)
+        ub[lo:hi], s[lo:hi], vh[lo:hi] = np.linalg.svd(
+            q[lo:hi].conj().transpose(0, 2, 1) @ fc, full_matrices=False)
 
-    def step(lo, hi):
-        q[lo:hi] = power(lo, hi, q[lo:hi])
-        ritz(lo, hi)
-
-    _sliced(h, f.size, sketch)
     while True:
+        _sliced(h, f.size, task)
         factors = _certified_triplets(f, q, ub, s, vh, tau, l)
-        if factors is not None:
+        if factors is not None or steps == _POWER_CAP:
             return factors
-        if steps == _POWER_CAP:
-            return None
-        if fh is None:
-            fh = _conj_t(f)
-        _sliced(h, f.size, step)
-        steps += 1
+        fresh, todo, steps = False, 1, steps + 1
 
 
 def _slice_norms(f: np.ndarray) -> np.ndarray:
@@ -440,12 +405,12 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     f = _rfft3(y)
     if _slice_norms(f).max() <= tau:
         return _zero(y, state, None)
-    steps = _planned_steps(f, tau, state)
-    if steps is None and state.v is None and any(state.paths.values()):
-        svals = _svals(f)
+    plan = _plan(f, tau, state)
+    if plan is None and state.v is None and any(state.paths.values()):
+        svals = _svd(f, vectors=False)
         if svals[:, 0].max() <= tau:
             return _zero(y, state, svals)
-    factors = None if steps is None else _truncated_svd(f, tau, state, steps)
+    factors = None if plan is None else _truncated_svd(f, tau, state, *plan)
     path = "truncated"
     if factors is None:
         factors = _svd(f)

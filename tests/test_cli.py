@@ -386,6 +386,38 @@ def test_phase_values_out_of_range(tmp_path, monkeypatch, kind, values):
     _assert_usage_error_before_solve(monkeypatch, tmp_path, args)
 
 
+# a repeated flag overrides _PHASE's value (argparse keeps the last)
+@pytest.mark.parametrize("extra", [["--threshold", "nan"], ["--threshold", "inf"],
+                                   ["--threshold", "-1"], ["--ranks", "9"]])
+def test_phase_bad_threshold_or_rank(tmp_path, monkeypatch, extra):
+    _assert_usage_error_before_solve(monkeypatch, tmp_path,
+                                     [*_PHASE, "--values", "32", "--trials", "1", *extra])
+
+
+@pytest.mark.parametrize("args", [_PHASE + ["--values", "32"],
+                                  ["inpaint", "img.ppm", "--p", "0.5"],
+                                  ["frames", "frames", "--p", "0.5"]])
+def test_rank_tol_only_where_a_rank_is_reported(args):
+    # phase, inpaint and frames report no rank, so they take no --rank-tol
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([*args, "--rank-tol", "0.1", "--out", "x"])
+    assert exc.value.code == 2
+
+
+def test_replay_of_a_manifest_with_rank_tol(tmp_path):
+    # manifests of phase, inpaint and frames written before the flag was
+    # dropped still carry rank_tol, and still replay
+    first = tmp_path / "first"
+    assert main([*_PHASE, "--values", "32", "--trials", "1", "--out", str(first)]) == 0
+    manifest = tio.read_manifest(first / "manifest.json")
+    assert "rank_tol" not in manifest["params"]
+    manifest["params"]["rank_tol"] = 1e-3
+    tio.write_manifest(first / "manifest.json", manifest)
+    again = tmp_path / "again"
+    assert main(["replay", str(first / "manifest.json"), "--out", str(again)]) == 0
+    assert _dir_bytes(first) == _dir_bytes(again)
+
+
 def test_gen_zero_dimension(tmp_path, monkeypatch):
     _assert_usage_error_before_solve(monkeypatch, tmp_path, ["gen", "4", "4", "0", "1"])
 

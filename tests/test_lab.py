@@ -207,6 +207,44 @@ def test_phase_grid_checks_values_before_any_trial(monkeypatch, kind, values, er
         tb.phase_grid(kind, (4, 4, 2), values=values, ranks=[1], trials=1)
 
 
+def _no_trial(*_, **__):
+    raise AssertionError("a trial started")
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"threshold": float("nan")}, InvalidParameter),
+    ({"threshold": float("inf")}, InvalidParameter),
+    ({"threshold": -1e-3}, InvalidParameter),
+    ({"ranks": [1, 9]}, InvalidRank),
+    ({"ranks": [0]}, InvalidRank),
+    ({"kind": "gaussian", "values": [32, 30.9]}, InvalidParameter),
+])
+def test_phase_grid_checks_arguments_before_any_trial(monkeypatch, kwargs, error):
+    args = {"kind": "completion", "dims": (4, 4, 2), "values": [0.9], "ranks": [1],
+            "trials": 2, **kwargs}
+    monkeypatch.setattr("tubal.lab._trial", _no_trial)
+    with pytest.raises(error):
+        tb.phase_grid(**args)
+
+
+def test_phase_grid_runs_whole_float_counts():
+    # a whole count given as a float runs, and records the m it used
+    whole = tb.phase_grid("gaussian", (4, 4, 2), values=[32.0], ranks=[1],
+                          trials=1, base_seed=5)
+    plain = tb.phase_grid("gaussian", (4, 4, 2), values=[32], ranks=[1],
+                          trials=1, base_seed=5)
+    assert whole.cells == plain.cells and whole.cells[0].m_or_p == 32.0
+
+
+@pytest.mark.parametrize("driver, row", [(tb.run_table1, (4, 2, 1, 43)),
+                                         (tb.run_table2, (4, 2, 1, 0.9))])
+@pytest.mark.parametrize("rank_tol", [2.0, -0.1, float("nan")])
+def test_table_drivers_check_rank_tol_before_any_row(monkeypatch, driver, row, rank_tol):
+    monkeypatch.setattr("tubal.lab._trial", _no_trial)
+    with pytest.raises(InvalidParameter):
+        driver([row], rank_tol=rank_tol)
+
+
 def test_run_table1_small_row():
     rows = tb.run_table1([(4, 2, 1, tb.gaussian_bound(4, 4, 2, 1))], base_seed=3)
     row = rows[0]

@@ -20,12 +20,11 @@ def _with_workers(monkeypatch, count, fn):
     saved = tensor._pool
     monkeypatch.setattr(tensor, "_WORKERS", count)
     monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
-    tensor._pool = None
+    tensor._new_pool()
     try:
         return fn()
     finally:
-        if tensor._pool is not None:
-            tensor._pool.shutdown()
+        tensor._pool.shutdown()
         tensor._pool = saved
 
 

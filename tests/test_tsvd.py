@@ -273,7 +273,7 @@ def test_svt_values_first_zero():
     x, t = tsvd_module._svt_freq(y, tau, state)
     assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
     assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
-    assert state.v is None and np.array_equal(state.svals, tsvd_module._svals(f))
+    assert state.v is None and np.array_equal(state.svals, tsvd_module._svd(f, vectors=False))
 
 
 def test_svt_fresh_state_skips_values_first(monkeypatch):
@@ -282,13 +282,14 @@ def test_svt_fresh_state_skips_values_first(monkeypatch):
     y = _rand((40, 36, 4), 93)
     taus = (0.5 * tb.spectral_norm(y), 1.01 * tb.spectral_norm(y))
     calls = []
-    monkeypatch.setattr(tsvd_module, "_svals",
-                        lambda f: calls.append(f) or np.linalg.svd(f, compute_uv=False))
+    svd = tsvd_module._svd
+    monkeypatch.setattr(tsvd_module, "_svd",
+                        lambda f, vectors=True: calls.append(vectors) or svd(f, vectors))
     for tau in taus:
         state = tsvd_module._SvtState()
         tsvd_module._svt_freq(y, tau, state)
         assert state.paths == {"zero": 0, "truncated": 0, "full": 1}
-    assert calls == []
+    assert calls == [True, True]  # one SVD, with vectors, per call
 
 
 def _rank_four_slice(tail):
