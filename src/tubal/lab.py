@@ -268,8 +268,8 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     argument is checked before the first trial: a rate outside (0, 1]
     raises InvalidRate; a measurement count below 1, or not finite,
     ZeroMeasurements; a count that is not a whole number, or a threshold
-    that is negative or not finite, InvalidParameter; a rank outside
-    [1, min(n1, n2)] InvalidRank.
+    that is negative or not finite, InvalidParameter; a rank that is not a
+    whole number in [1, min(n1, n2)] InvalidRank.
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
@@ -289,8 +289,8 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
             raise InvalidParameter(f"a measurement count must be a whole number, got {v}")
     n1, n2, n3 = dims
     for r in ranks:
-        if not 1 <= r <= min(n1, n2):
-            raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
+        if not (1 <= r <= min(n1, n2) and float(r).is_integer()):
+            raise InvalidRank(f"rank {r} is not a whole number in [1, {min(n1, n2)}]")
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=list(ranks), trials=trials, base_seed=base_seed,
                      threshold=threshold)

@@ -190,6 +190,10 @@ def test_drivers_propagate_programming_errors(monkeypatch):
         tb.phase_grid("completion", (4, 4, 2), values=[0.9], ranks=[1], trials=1)
 
 
+def _no_trial(*_, **__):
+    raise AssertionError("a trial started")
+
+
 @pytest.mark.parametrize("kind, values, error", [
     ("completion", [0.5, 2.0], InvalidRate),
     ("completion", [0.0], InvalidRate),
@@ -199,16 +203,9 @@ def test_drivers_propagate_programming_errors(monkeypatch):
     ("gaussian", [float("inf")], ZeroMeasurements),
 ])
 def test_phase_grid_checks_values_before_any_trial(monkeypatch, kind, values, error):
-    def no_trial(*_, **__):
-        raise AssertionError("a trial started")
-
-    monkeypatch.setattr("tubal.lab._trial", no_trial)
+    monkeypatch.setattr("tubal.lab._trial", _no_trial)
     with pytest.raises(error):
         tb.phase_grid(kind, (4, 4, 2), values=values, ranks=[1], trials=1)
-
-
-def _no_trial(*_, **__):
-    raise AssertionError("a trial started")
 
 
 @pytest.mark.parametrize("kwargs, error", [
@@ -217,6 +214,7 @@ def _no_trial(*_, **__):
     ({"threshold": -1e-3}, InvalidParameter),
     ({"ranks": [1, 9]}, InvalidRank),
     ({"ranks": [0]}, InvalidRank),
+    ({"ranks": [1.5]}, InvalidRank),
     ({"kind": "gaussian", "values": [32, 30.9]}, InvalidParameter),
 ])
 def test_phase_grid_checks_arguments_before_any_trial(monkeypatch, kwargs, error):
