@@ -19,13 +19,21 @@ from .errors import (
     InvalidRank,
     InvalidRate,
     TubalError,
-    ZeroMeasurements,
 )
 from .rng import derive_seed, normal_fill, substream
-from .sensing import apply_map, make_bernoulli_mask, make_gaussian_map
+from .sensing import _require_count, apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
 from .tensor import _require_nonempty, ctranspose, tprod
 from .tsvd import TSvdFactors, _require_rel_tol, tubal_rank
+
+
+def _require_rank(r, n1: int, n2: int, low: int = 1) -> int:
+    """r as an int: InvalidRank unless it is a whole number in [low, min(n1, n2)]."""
+    if not low <= r <= min(n1, n2):  # also rejects NaN
+        raise InvalidRank(f"rank {r} outside [{low}, {min(n1, n2)}]")
+    if not float(r).is_integer():
+        raise InvalidRank(f"rank {r} is not a whole number")
+    return int(r)
 
 
 def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
@@ -38,8 +46,7 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
     index order.
     """
     _require_nonempty((n1, n2, n3))
-    if not 1 <= r <= min(n1, n2):
-        raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
+    r = _require_rank(r, n1, n2)
     if scale not in ("unit", "inv_n"):
         raise InvalidParameter(f"scale must be 'unit' or 'inv_n', got {scale!r}")
     sigma = 1.0 if scale == "unit" else 1.0 / math.sqrt(max(n1, n2))
@@ -51,15 +58,13 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
 
 def dof(n1: int, n2: int, n3: int, r: int) -> int:
     """Degrees of freedom of a tubal-rank-r tensor: r(n1 + n2 - r)n3."""
-    if not 0 <= r <= min(n1, n2):
-        raise InvalidRank(f"rank {r} outside [0, {min(n1, n2)}]")
+    r = _require_rank(r, n1, n2, low=0)
     return r * (n1 + n2 - r) * n3
 
 
 def gaussian_bound(n1: int, n2: int, n3: int, r: int) -> int:
     """Measurements sufficient for exact recovery: 3r(n1 + n2 - r)n3 + 1."""
-    if not 0 < r <= min(n1, n2):
-        raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
+    r = _require_rank(r, n1, n2)
     return 3 * r * (n1 + n2 - r) * n3 + 1
 
 
@@ -67,14 +72,14 @@ def robust_bound(n1: int, n2: int, n3: int, r: int, epsilon: float) -> int:
     """Measurements for robust recovery: ceil((3r(n1+n2-r)n3 + 3/2) / (1-eps)^2)."""
     if not 0 < epsilon < 1:
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < r <= min(n1, n2):
-        raise InvalidRank(f"rank {r} outside [1, {min(n1, n2)}]")
+    r = _require_rank(r, n1, n2)
     return math.ceil((3 * r * (n1 + n2 - r) * n3 + 1.5) / (1.0 - epsilon) ** 2)
 
 
 def completion_rate_bound(n1: int, n2: int, n3: int, r: int,
                           mu: float, c0: float) -> float:
     """Sampling rate bound c0 * mu * r * log^2(max(n1,n2) n3) / (min(n1,n2) n3)."""
+    r = _require_rank(r, n1, n2)
     n_hi, n_lo = max(n1, n2), min(n1, n2)
     return c0 * mu * r * math.log(n_hi * n3) ** 2 / (n_lo * n3)
 
@@ -283,16 +288,12 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     for v in values:
         if kind == "completion" and not 0.0 < float(v) <= 1.0:
             raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
-        if kind == "gaussian" and not 1 <= float(v) < math.inf:
-            raise ZeroMeasurements(f"need a finite count of m >= 1 measurements, got {v}")
-        if kind == "gaussian" and not float(v).is_integer():
-            raise InvalidParameter(f"a measurement count must be a whole number, got {v}")
+        if kind == "gaussian":
+            _require_count(v)
     n1, n2, n3 = dims
-    for r in ranks:
-        if not (1 <= r <= min(n1, n2) and float(r).is_integer()):
-            raise InvalidRank(f"rank {r} is not a whole number in [1, {min(n1, n2)}]")
+    ranks = [_require_rank(r, n1, n2) for r in ranks]  # 2.0 runs the trials of 2
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
-                     ranks=list(ranks), trials=trials, base_seed=base_seed,
+                     ranks=ranks, trials=trials, base_seed=base_seed,
                      threshold=threshold)
     for v in values:
         for r in ranks:
@@ -313,7 +314,7 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
                 if err <= threshold:
                     successes += 1
             grid.cells.append(PhaseCell(
-                m_or_p=float(v), r=int(r), trials=trials, successes=successes,
+                m_or_p=float(v), r=r, trials=trials, successes=successes,
                 mean_rel_err=float(np.mean(errs)) if errs else float("nan"),
                 mean_iters=float(np.mean(iters)) if iters else float("nan"),
                 errors=failures,

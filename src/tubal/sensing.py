@@ -6,11 +6,12 @@ Gaussian matrices are filled row by row from the Box-Muller stream; masks
 consume one uniform per entry in index order (i fastest, then j, then k).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidRate, MapTooLarge, ZeroMeasurements
+from .errors import DimMismatch, InvalidParameter, InvalidRate, MapTooLarge, ZeroMeasurements
 from .rng import normal_fill, substream
 from .tensor import _require_nonempty, unvec, vec
 
@@ -33,12 +34,25 @@ class GaussianMap:
         return n1 * n2 * n3
 
 
+def _require_count(m) -> int:
+    """m as an int: ZeroMeasurements below 1 or not finite, InvalidParameter
+    when it is not a whole number."""
+    if not 1 <= m < math.inf:  # also rejects NaN
+        raise ZeroMeasurements(f"need a finite count of m >= 1 measurements, got {m}")
+    if not float(m).is_integer():
+        raise InvalidParameter(f"a measurement count must be a whole number, got {m}")
+    return int(m)
+
+
 def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
-    """Draw the m x (n1*n2*n3) Gaussian measurement matrix for (m, dims, seed)."""
+    """Draw the m x (n1*n2*n3) Gaussian measurement matrix for (m, dims, seed).
+
+    m must be a finite whole number >= 1 (else ZeroMeasurements or
+    InvalidParameter); a whole float such as 40.0 draws the same map as 40.
+    """
     n1, n2, n3 = (int(v) for v in dims)
     _require_nonempty((n1, n2, n3))
-    if m < 1:
-        raise ZeroMeasurements(f"need m >= 1 measurements, got {m}")
+    m = _require_count(m)
     d = n1 * n2 * n3
     if m * d > _MAP_VALUE_LIMIT:
         raise MapTooLarge(f"dense map of {m} x {d} = {m * d} values exceeds {_MAP_VALUE_LIMIT}")

@@ -1,5 +1,8 @@
 """Command-line surface: subcommand flows, exit codes, manifest replay."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -426,3 +429,72 @@ def test_phase_zero_dimension(tmp_path, monkeypatch):
     args = [*_PHASE, "--values", "10", "--trials", "1"]
     args[args.index("--n3") + 1] = "0"
     _assert_usage_error_before_solve(monkeypatch, tmp_path, args)
+
+
+def _recorded(args):
+    """The params a fresh run of args records in its manifest."""
+    argv = [args[0], "--out", "x", *args[1:]]
+    return cli._params_from_args(cli.build_parser().parse_args(argv))
+
+
+def _replay(tmp_path, subcommand, params):
+    """Replay a manifest of params into tmp_path/again; returns the exit code."""
+    manifest = tmp_path / "manifest.json"
+    tio.write_manifest(manifest, {"format": 1, "subcommand": subcommand, "params": params})
+    return main(["replay", str(manifest), "--out", str(tmp_path / "again")])
+
+
+@pytest.mark.parametrize("args, key, value", [
+    (["gen", "4", "4", "2", "1"], "n1", 4.5),
+    (["recover", "x0.t3", "--m", "43"], "m", "abc"),
+    (["recover", "x0.t3", "--m", "43"], "m", 20.5),
+    (["complete", "x0.t3", "--p", "0.9"], "max_iter", "5.5"),
+    ([*_PHASE, "--values", "32"], "trials", 1.5),
+    (["frames", "frames", "--p", "0.5"], "p", "x"),
+])
+def test_replay_rejects_mistyped_params(tmp_path, monkeypatch, args, key, value):
+    # the inputs exist, so only the parser can stop the mistyped value
+    monkeypatch.chdir(tmp_path)
+    tio.write_tensor("x0.t3", tb.rand_low_tubal(4, 4, 2, 1, seed=0))
+    Path("frames").mkdir()
+    tio.write_image("frames/f0.pgm", RNG.integers(0, 256, (4, 5), dtype=np.uint8))
+    assert _replay(tmp_path, args[0], {**_recorded(args), key: value}) == 2
+    assert _files(tmp_path / "again") == []
+
+
+def test_replay_reads_a_numeric_tensor_param_as_a_path(tmp_path, monkeypatch, capsys):
+    # "tensor": 5 names the file 5, not the open file descriptor 5
+    monkeypatch.chdir(tmp_path)
+    params = {**_recorded(["recover", "x0.t3", "--m", "43"]), "tensor": 5}
+    assert _replay(tmp_path, "recover", params) == 4
+    assert "No such file or directory: '5'" in capsys.readouterr().err
+    assert _files(tmp_path / "again") == []
+
+
+def test_replay_defaults_a_missing_key_and_carries_an_unknown_one(tmp_path):
+    first = tmp_path / "first"
+    assert main([*_PHASE, "--values", "32", "--trials", "1", "--out", str(first)]) == 0
+    params = tio.read_manifest(first / "manifest.json")["params"]
+    del params["threshold"]
+    assert _replay(tmp_path, "phase", {**params, "note": "kept"}) == 0
+    again = tio.read_manifest(tmp_path / "again" / "manifest.json")["params"]
+    assert again["threshold"] == 1e-3 and again["note"] == "kept"
+    assert (first / "grid.csv").read_bytes() == (tmp_path / "again" / "grid.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "6", "6", "3", "2", "--seed", "-3", "--scale", "inv_n"],
+    ["recover", "--m", "43", "--history", "--rho", "1.2", "--rank-tol", "0.01", "--", "-x.t3"],
+    ["complete", "x0.t3", "--mask", "m.om", "--max-iter", "50", "--seed", "0"],
+    ["phase", "completion", "--n1", "8", "--n2", "8", "--n3", "4", "--values", "0.5,0.9",
+     "--ranks", "1,2", "--threshold", "0", "--matrix"],
+    [*_PHASE, "--values", "16,32", "--mu0", "1e-05"],
+    ["inpaint", "img.ppm", "--p", "0.5", "--eps", "1e-06"],
+    ["frames", "frames", "--p", "0.6", "--mu-max", "1e8"],
+])
+def test_replay_argv_parses_back_to_the_recorded_params(args):
+    params = _recorded(args)
+    parser = cli.build_parser()
+    again = cli._params_from_args(parser.parse_args(
+        cli._argv(parser, args[0], {**params, "out": "x"})))
+    assert json.dumps(again, sort_keys=True) == json.dumps(params, sort_keys=True)

@@ -31,6 +31,27 @@ def test_rand_low_tubal_rank_and_determinism():
         tb.rand_low_tubal(4, 4, 2, 5, seed=0)
 
 
+@pytest.mark.parametrize("formula, low", [
+    (lambda r: tb.rand_low_tubal(4, 4, 2, r, seed=0), 1),
+    (lambda r: tb.dof(4, 4, 2, r), 0),
+    (lambda r: tb.gaussian_bound(4, 4, 2, r), 1),
+    (lambda r: tb.robust_bound(4, 4, 2, r, epsilon=0.5), 1),
+    (lambda r: tb.completion_rate_bound(4, 4, 2, r, mu=1.0, c0=1.0), 1),
+])
+def test_rank_rules_are_shared(formula, low):
+    # every generator and formula takes a whole rank in [low, min(n1, n2)]
+    for r in (low - 1, 1.5, 9, float("nan")):
+        with pytest.raises(InvalidRank):
+            formula(r)
+    assert np.array_equal(formula(2.0), formula(2))
+
+
+def test_table_rows_with_a_fractional_rank_or_count_record_an_error():
+    rows = tb.run_table1([(4, 2, 1.5, 43), (4, 2, 1, 30.5)])
+    assert rows[0]["error"] == "InvalidRank: rank 1.5 is not a whole number"
+    assert rows[1]["error"].startswith("InvalidParameter: ")
+
+
 def test_rand_low_tubal_rejects_empty_shape_and_bad_scale():
     for dims in [(4, 4, 0), (0, 4, 2), (4, 4, -1)]:
         with pytest.raises(EmptyTensor):
@@ -232,6 +253,15 @@ def test_phase_grid_runs_whole_float_counts():
     plain = tb.phase_grid("gaussian", (4, 4, 2), values=[32], ranks=[1],
                           trials=1, base_seed=5)
     assert whole.cells == plain.cells and whole.cells[0].m_or_p == 32.0
+
+
+def test_phase_grid_runs_whole_float_ranks_as_ints():
+    # a whole rank given as a float runs the trials of the int rank
+    whole = tb.phase_grid("gaussian", (4, 4, 2), values=[20], ranks=[1.0],
+                          trials=3, base_seed=5)
+    plain = tb.phase_grid("gaussian", (4, 4, 2), values=[20], ranks=[1],
+                          trials=3, base_seed=5)
+    assert whole.cells == plain.cells and whole.ranks == [1]
 
 
 @pytest.mark.parametrize("driver, row", [(tb.run_table1, (4, 2, 1, 43)),

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal.errors import DimMismatch, EmptyTensor, InvalidRate, MapTooLarge, ZeroMeasurements
+from tubal.errors import (
+    DimMismatch,
+    EmptyTensor,
+    InvalidParameter,
+    InvalidRate,
+    MapTooLarge,
+    ZeroMeasurements,
+)
 
 RNG = np.random.default_rng(2023)
 
@@ -35,8 +42,13 @@ def test_gaussian_map_column_norms_concentrate():
 
 
 def test_gaussian_map_guards():
-    with pytest.raises(ZeroMeasurements):
-        tb.make_gaussian_map(0, (2, 2, 2), seed=0)
+    for m in (0, float("nan"), float("inf")):
+        with pytest.raises(ZeroMeasurements):
+            tb.make_gaussian_map(m, (2, 2, 2), seed=0)
+    with pytest.raises(InvalidParameter):
+        tb.make_gaussian_map(30.5, (2, 2, 2), seed=0)
+    assert np.array_equal(tb.make_gaussian_map(30.0, (2, 2, 2), seed=0).a,
+                          tb.make_gaussian_map(30, (2, 2, 2), seed=0).a)
     with pytest.raises(MapTooLarge):
         tb.make_gaussian_map(2 ** 20, (64, 64, 64), seed=0)
 
