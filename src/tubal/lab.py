@@ -5,13 +5,28 @@ recovery from Gaussian measurements with m chosen near the 3*dof+1 bound,
 and completion from a Bernoulli(p) mask.  Every randomized object inside a
 run draws from a substream keyed by the experiment coordinates, so rows and
 grid cells are reproducible independently of execution order.
+
+That independence is also what lets the drivers run trials in parallel.
+The package has two levels of parallelism, and a trial's half-spectrum
+stack, ``(n3 // 2 + 1) * n1 * n2`` elements, picks one.  At or above
+``tensor._PARALLEL_MIN`` elements, ``tensor._sliced`` splits the trial's
+per-slice kernels over threads and the trials run one after another.
+Below it, no kernel is split, and ``_run_trials`` runs the trials
+themselves on one forked process per CPU.  Each worker holds its own
+trial in memory, so a driver's peak memory grows to about one trial per
+worker; the calling process's ``ru_maxrss`` leaves the workers out (they
+count under ``RUSAGE_CHILDREN``).
 """
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor
 from .errors import (
     DimMismatch,
     InvalidEpsilon,
@@ -174,41 +189,90 @@ TABLE_RANK_TOL = 1e-3
 _TRIAL_ERRORS = (TubalError, np.linalg.LinAlgError)
 
 
-def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg):
-    """Draw a tubal-rank-r tensor, sense it and recover it; returns (x0, xhat, report).
+def _coord(kind, value):
+    """A trial's sensing value as its seeds are keyed: an int count, a float rate."""
+    return _require_count(value) if kind == "gaussian" else float(value)
+
+
+def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg, rank_tol) -> dict:
+    """Draw a tubal-rank-r tensor, sense it, recover it and judge the result.
 
     kind="gaussian" measures a unit-scale tensor with `value` Gaussian
     measurements; kind="completion" samples a 1/n-scale tensor at rate `value`.
+    Returns the verdict's rank_estimate and rel_error with the solver's
+    iterations and converged, or {"error": text} for a _TRIAL_ERRORS exception.
     """
-    if kind == "gaussian":
-        x0 = rand_low_tubal(*dims, r, seed_tensor, scale="unit")
-        gmap = make_gaussian_map(value, dims, seed_sensing)
-        xhat, report = solve_gaussian(gmap, apply_map(gmap, x0), cfg)
-    else:
-        x0 = rand_low_tubal(*dims, r, seed_tensor, scale="inv_n")
-        mask = make_bernoulli_mask(dims, value, seed_sensing)
-        xhat, report = solve_completion(mask, x0, cfg)
-    return x0, xhat, report
+    try:
+        if kind == "gaussian":
+            x0 = rand_low_tubal(*dims, r, seed_tensor, scale="unit")
+            gmap = make_gaussian_map(value, dims, seed_sensing)
+            xhat, report = solve_gaussian(gmap, apply_map(gmap, x0), cfg)
+        else:
+            x0 = rand_low_tubal(*dims, r, seed_tensor, scale="inv_n")
+            mask = make_bernoulli_mask(dims, value, seed_sensing)
+            xhat, report = solve_completion(mask, x0, cfg)
+        v = make_verdict(xhat, x0, report, rank_tol=rank_tol)
+    except _TRIAL_ERRORS as exc:  # keep the batch alive
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"rank_estimate": v.rank_estimate, "rel_error": v.rel_error,
+            "iterations": report.iterations, "converged": report.converged}
+
+
+def _run_trials(specs) -> list:
+    """_trial(*spec) for every spec, in order.
+
+    A fork-context pool of min(tensor._WORKERS, len(specs)) processes runs
+    them, and is shut down before this returns, when there are at least two
+    trials and two CPUs and every trial's half-spectrum stack is below
+    tensor._PARALLEL_MIN (see the module docstring).  Otherwise, or when no
+    process can be started, they run in the calling process.  An outcome
+    depends only on its spec, so the result is the same either way; an
+    exception other than _TRIAL_ERRORS propagates with its type and message.
+
+    Workers are forked, not spawned, so they start with the package
+    imported instead of importing numpy and scipy again.  The package's own
+    threads, the slice pool's, are idle between _sliced calls, and a forked
+    child builds a pool of its own.
+    """
+    workers = min(tensor._WORKERS, len(specs))
+    if (workers < 2 or not hasattr(os, "fork")
+            or any((n3 // 2 + 1) * n1 * n2 >= tensor._PARALLEL_MIN
+                   for _, (n1, n2, n3), *_ in specs)):
+        return [_trial(*spec) for spec in specs]
+    started = set(multiprocessing.active_children())
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        futures = [pool.submit(_trial, *spec) for spec in specs]
+    except OSError:  # fork's EAGAIN or ENOMEM: no process to spare
+        for proc in set(multiprocessing.active_children()) - started:
+            proc.kill()  # a worker started before the failure would wait forever
+            proc.join()
+        return [_trial(*spec) for spec in specs]
+    try:
+        return [fut.result() for fut in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_table(kind, rows, base_seed, cfg, rank_tol) -> list:
     _require_rel_tol(rank_tol)
     table, rate, sensing = (("table1", "m", "map") if kind == "gaussian"
                             else ("table2", "p", "mask"))
-    out = []
+    out, pending, specs = [], [], []
     for n, n3, r, value in rows:
         row = {"n": n, "n3": n3, "r": r, rate: value}
-        coord = value if kind == "gaussian" else float(value)
-        try:
-            seed_t = derive_seed(base_seed, table, n, n3, r, coord, "tensor")
-            seed_s = derive_seed(base_seed, table, n, n3, r, coord, sensing)
-            x0, xhat, report = _trial(kind, (n, n, n3), r, value, seed_t, seed_s, cfg)
-            v = make_verdict(xhat, x0, report, rank_tol=rank_tol)
-            row.update(rank_estimate=v.rank_estimate, rel_error=v.rel_error,
-                       iterations=report.iterations, converged=report.converged)
-        except _TRIAL_ERRORS as exc:  # keep the batch alive
-            row["error"] = f"{type(exc).__name__}: {exc}"
         out.append(row)
+        try:  # 1.0 and 20.0 draw the trials of 1 and 20
+            _require_nonempty((n, n, n3))
+            r, coord = _require_rank(r, n, n), _coord(kind, value)
+        except _TRIAL_ERRORS as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        seeds = [derive_seed(base_seed, table, n, n3, r, coord, s) for s in ("tensor", sensing)]
+        pending.append(row)
+        specs.append((kind, (n, n, n3), r, coord, *seeds, cfg, rank_tol))
+    for row, outcome in zip(pending, _run_trials(specs)):
+        row.update(outcome)
     return out
 
 
@@ -285,38 +349,30 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
     _require_nonempty(dims)
+    coords = []
     for v in values:
         if kind == "completion" and not 0.0 < float(v) <= 1.0:
             raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
-        if kind == "gaussian":
-            _require_count(v)
+        coords.append(_coord(kind, v))
     n1, n2, n3 = dims
     ranks = [_require_rank(r, n1, n2) for r in ranks]  # 2.0 runs the trials of 2
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=ranks, trials=trials, base_seed=base_seed,
                      threshold=threshold)
-    for v in values:
-        for r in ranks:
-            successes = 0
-            errs, iters, failures = [], [], []
-            coord = float(v) if kind == "completion" else int(v)
-            for t in range(trials):
-                seed_t = derive_seed(base_seed, kind, coord, r, t, "tensor")
-                seed_s = derive_seed(base_seed, kind, coord, r, t, "sensing")
-                try:
-                    x0, xhat, report = _trial(kind, grid.dims, r, coord, seed_t, seed_s, cfg)
-                except _TRIAL_ERRORS as exc:
-                    failures.append(f"trial {t}: {type(exc).__name__}: {exc}")
-                    continue
-                err = rel_error(xhat, x0)
-                errs.append(err)
-                iters.append(report.iterations)
-                if err <= threshold:
-                    successes += 1
-            grid.cells.append(PhaseCell(
-                m_or_p=float(v), r=r, trials=trials, successes=successes,
-                mean_rel_err=float(np.mean(errs)) if errs else float("nan"),
-                mean_iters=float(np.mean(iters)) if iters else float("nan"),
-                errors=failures,
-            ))
+    cells = [(v, c, r) for v, c in zip(values, coords) for r in ranks]
+    outcomes = iter(_run_trials([
+        (kind, grid.dims, r, c, derive_seed(base_seed, kind, c, r, t, "tensor"),
+         derive_seed(base_seed, kind, c, r, t, "sensing"), cfg, TABLE_RANK_TOL)
+        for _, c, r in cells for t in range(trials)]))
+    for v, _, r in cells:
+        done = [next(outcomes) for _ in range(trials)]
+        errs = [o["rel_error"] for o in done if "error" not in o]
+        iters = [o["iterations"] for o in done if "error" not in o]
+        grid.cells.append(PhaseCell(
+            m_or_p=float(v), r=r, trials=trials,
+            successes=sum(err <= threshold for err in errs),
+            mean_rel_err=float(np.mean(errs)) if errs else float("nan"),
+            mean_iters=float(np.mean(iters)) if iters else float("nan"),
+            errors=[f"trial {t}: {o['error']}" for t, o in enumerate(done) if "error" in o],
+        ))
     return grid

@@ -27,7 +27,9 @@ the first chunk in the calling thread and the others on a thread pool, and
 every chunk writes its own part of a preallocated output.  The pool is
 built when this module is imported, and again in a forked child, which has
 none of its parent's threads; it starts no thread before its first task.
-Stacks of fewer than ``_PARALLEL_MIN`` elements run as one chunk.  A chunk
+Stacks of fewer than ``_PARALLEL_MIN`` elements run as one chunk; the
+experiment drivers then run whole trials on processes instead (the ``lab``
+module docstring states the rule that picks the level).  A chunk
 applies to each slice exactly the numpy/LAPACK call the whole stack would
 get, so results are bitwise identical for any worker count; every decision
 that reads more than one slice stays in the calling thread.

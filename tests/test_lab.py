@@ -52,6 +52,15 @@ def test_table_rows_with_a_fractional_rank_or_count_record_an_error():
     assert rows[1]["error"].startswith("InvalidParameter: ")
 
 
+def test_table_rows_with_whole_floats_draw_the_trials_of_the_ints():
+    ints = tb.run_table1([(4, 2, 1, 20)], base_seed=3)
+    assert tb.run_table1([(4, 2, 1.0, 20)], base_seed=3) == ints
+    assert tb.run_table1([(4, 2, 1, 20.0)], base_seed=3) == ints
+    assert ints[0]["rank_estimate"] == 1
+    rates = tb.run_table2([(6, 3, 1, 0.9)], base_seed=3)
+    assert tb.run_table2([(6, 3, 1.0, 0.9)], base_seed=3) == rates
+
+
 def test_rand_low_tubal_rejects_empty_shape_and_bad_scale():
     for dims in [(4, 4, 0), (0, 4, 2), (4, 4, -1)]:
         with pytest.raises(EmptyTensor):

@@ -2,16 +2,21 @@
 depend on the worker count."""
 
 import dataclasses
+import errno
+import multiprocessing
 import os
 import signal
 import sys
 import time
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 import tubal as tb
-from tubal import tensor
+from tubal import lab, tensor
+from tubal.errors import NonFiniteValues
 from tubal.solve import AdmmConfig
 
 
@@ -136,3 +141,134 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
         return None
 
     assert _with_workers(monkeypatch, 3, both) == 0
+
+
+# -- trials on one process per CPU ---------------------------------------------
+
+def _with_processes(monkeypatch, count, fn):
+    """fn() with `count` workers, the shipped stack threshold, and the slice
+    pool's threads started before any fork; returns (fn(), sizes of the
+    process pools built)."""
+    built = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            built.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", Counting)
+    shipped = tensor._PARALLEL_MIN
+
+    def run():
+        tensor._sliced(count, count, lambda lo, hi: time.sleep(0.01))
+        monkeypatch.setattr(tensor, "_PARALLEL_MIN", shipped)
+        return fn()
+
+    return _with_workers(monkeypatch, count, run), built
+
+
+def _driver_outputs():
+    return (
+        tb.phase_grid("gaussian", (5, 5, 2), values=[20, 40], ranks=[1, 2], trials=2,
+                      base_seed=3),
+        tb.phase_grid("completion", (6, 6, 3), values=[0.4, 0.9], ranks=[1], trials=2,
+                      base_seed=4),
+        tb.run_table1([(4, 2, 1, 43), (5, 2, 2, 61), (4, 2, 9, 10)], base_seed=5),
+        # a rate of 1.5 is rejected inside the trial, in a worker
+        tb.run_table2([(6, 3, 1, 0.8), (6, 3, 1, 1.5), (7, 2, 2, 0.9)], base_seed=6),
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_drivers_equal_for_any_process_count(monkeypatch):
+    one, built = _with_processes(monkeypatch, 1, _driver_outputs)
+    assert built == []
+    assert one[3][1]["error"].startswith("InvalidRate: ")
+    for count in (2, 3):
+        many, built = _with_processes(monkeypatch, count, _driver_outputs)
+        assert built == [min(count, trials) for trials in (8, 4, 2, 3)]
+        assert repr(many) == repr(one)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_tubal_error_in_a_worker_is_recorded_as_in_process(monkeypatch):
+    solve = lab.solve_gaussian
+
+    def rejecting(gmap, y, cfg):
+        if gmap.m == 40:
+            raise NonFiniteValues("measurement vector y contains NaN or Inf entries")
+        return solve(gmap, y, cfg)
+
+    monkeypatch.setattr(lab, "solve_gaussian", rejecting)
+
+    def grid():
+        return tb.phase_grid("gaussian", (5, 5, 2), values=[20, 40], ranks=[1], trials=3,
+                             base_seed=3).cells
+
+    one, _ = _with_processes(monkeypatch, 1, grid)
+    three, built = _with_processes(monkeypatch, 3, grid)
+    assert built == [3] and repr(three) == repr(one)  # nan != nan
+    assert one[1].errors == [f"trial {t}: NonFiniteValues: measurement vector y contains "
+                             "NaN or Inf entries" for t in range(3)]
+    assert one[0].errors == [] and np.isnan(one[1].mean_rel_err)
+
+
+def _buggy_trial(*spec):
+    raise RuntimeError(f"trial bug at seed {spec[4]}")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_any_other_worker_error_propagates(monkeypatch):
+    monkeypatch.setattr(lab, "_trial", _buggy_trial)
+    seed = tb.derive_seed(3, "completion", 0.9, 1, 0, "tensor")
+    with pytest.raises(RuntimeError, match=f"^trial bug at seed {seed}$"):
+        _with_processes(monkeypatch, 2, lambda: tb.phase_grid(
+            "completion", (5, 5, 2), values=[0.9], ranks=[1], trials=2, base_seed=3))
+
+
+def test_stacks_at_the_threshold_build_no_pool(monkeypatch):
+    def grid():  # half-spectrum stacks of 2 * 5 * 5 = 50 elements
+        return tb.phase_grid("completion", (5, 5, 2), values=[0.9], ranks=[1], trials=2,
+                             base_seed=3).cells
+
+    def at(threshold):
+        monkeypatch.setattr(tensor, "_PARALLEL_MIN", threshold)
+        return grid()
+
+    one, _ = _with_processes(monkeypatch, 1, grid)
+    assert _with_processes(monkeypatch, 2, lambda: at(50)) == (one, [])
+    assert _with_processes(monkeypatch, 2, lambda: at(51)) == (one, [2])
+
+
+def _eagain(*_, **__):
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("refuse", ["executor", "second fork"])
+def test_no_process_to_spare_runs_the_trials_in_process(monkeypatch, refuse):
+    def grid():
+        return tb.phase_grid("gaussian", (5, 5, 2), values=[20, 40], ranks=[1], trials=2,
+                             base_seed=3).cells
+
+    monkeypatch.setattr(tensor, "_WORKERS", 1)
+    one = grid()
+    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    forks = []
+    if refuse == "executor":
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", _eagain)
+    else:  # one worker starts, then fork fails: that worker must not be left waiting
+        fork = os.fork
+
+        def fork_once():
+            forks.append(len(forks))
+            return fork() if len(forks) == 1 else _eagain()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+    children = set(multiprocessing.active_children())
+    cells = grid()
+    left = set(multiprocessing.active_children()) - children
+    for proc in left:  # fail the test rather than hang the interpreter's exit
+        proc.kill()
+    assert cells == one and not left
+    assert forks == ([] if refuse == "executor" else [0, 1])
