@@ -27,6 +27,7 @@ import numpy as np
 from . import io
 from .errors import FrameSizeMismatch, InvalidParameter, TubalError
 from .lab import (
+    TABLE_RANK_TOL,
     incoherence,
     phase_grid,
     psnr,
@@ -293,7 +294,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     group.add_argument("--mask")
     recovery = argparse.ArgumentParser(add_help=False)
     recovery.add_argument("--history", action="store_true")
-    recovery.add_argument("--rank-tol", type=float, default=1e-3)
+    recovery.add_argument("--rank-tol", type=float, default=TABLE_RANK_TOL)
 
     p = sub.add_parser("gen", parents=[outputs],
                        help="generate a random low-tubal-rank tensor")

@@ -7,21 +7,21 @@ run draws from a substream keyed by the experiment coordinates, so rows and
 grid cells are reproducible independently of execution order.
 
 That independence is also what lets the drivers run trials in parallel.
-The package has two levels of parallelism, and a trial's half-spectrum
-stack, ``(n3 // 2 + 1) * n1 * n2`` elements, picks one.  At or above
-``tensor._PARALLEL_MIN`` elements, ``tensor._sliced`` splits the trial's
-per-slice kernels over threads and the trials run one after another.
-Below it, no kernel is split, and ``_run_trials`` runs the trials
-themselves on one forked process per CPU.  Each worker holds its own
-trial in memory, so a driver's peak memory grows to about one trial per
-worker; the calling process's ``ru_maxrss`` leaves the workers out (they
-count under ``RUSAGE_CHILDREN``).
+The package has two levels of parallelism, and ``tensor._split`` picks
+one from a trial's dims.  When it splits the trial's half-spectrum stack,
+the FFTs run on ``scipy.fft`` threads and the SVD and the sketch on the
+slice pool (see the ``tensor`` module docstring), and the trials run one
+after another.  Otherwise nothing in a trial is split, and ``_run_trials``
+runs the trials themselves on a fork-context ``multiprocessing.Pool`` of
+one process per CPU.  Each worker holds its own trial in memory, so a
+driver's peak memory grows to about one trial per worker; the calling
+process's ``ru_maxrss`` leaves the workers out (they count under
+``RUSAGE_CHILDREN``).
 """
 
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +38,15 @@ from .errors import (
 from .rng import derive_seed, normal_fill, substream
 from .sensing import _require_count, apply_map, make_bernoulli_mask, make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
-from .tensor import _require_nonempty, ctranspose, tprod
-from .tsvd import TSvdFactors, _require_rel_tol, tubal_rank
+from .tensor import _require_nonempty, _whole, ctranspose, tprod
+from .tsvd import TSvdFactors, tubal_rank
 
 
 def _require_rank(r, n1: int, n2: int, low: int = 1) -> int:
     """r as an int: InvalidRank unless it is a whole number in [low, min(n1, n2)]."""
     if not low <= r <= min(n1, n2):  # also rejects NaN
         raise InvalidRank(f"rank {r} outside [{low}, {min(n1, n2)}]")
-    if not float(r).is_integer():
-        raise InvalidRank(f"rank {r} is not a whole number")
-    return int(r)
+    return _whole(r, "rank", InvalidRank)
 
 
 def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
@@ -60,7 +58,7 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
     experiments.  The left factor is filled before the right one, each in
     index order.
     """
-    _require_nonempty((n1, n2, n3))
+    n1, n2, n3 = _require_nonempty((n1, n2, n3))
     r = _require_rank(r, n1, n2)
     if scale not in ("unit", "inv_n"):
         raise InvalidParameter(f"scale must be 'unit' or 'inv_n', got {scale!r}")
@@ -73,12 +71,14 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
 
 def dof(n1: int, n2: int, n3: int, r: int) -> int:
     """Degrees of freedom of a tubal-rank-r tensor: r(n1 + n2 - r)n3."""
+    n1, n2, n3 = _require_nonempty((n1, n2, n3))
     r = _require_rank(r, n1, n2, low=0)
     return r * (n1 + n2 - r) * n3
 
 
 def gaussian_bound(n1: int, n2: int, n3: int, r: int) -> int:
     """Measurements sufficient for exact recovery: 3r(n1 + n2 - r)n3 + 1."""
+    n1, n2, n3 = _require_nonempty((n1, n2, n3))
     r = _require_rank(r, n1, n2)
     return 3 * r * (n1 + n2 - r) * n3 + 1
 
@@ -87,6 +87,7 @@ def robust_bound(n1: int, n2: int, n3: int, r: int, epsilon: float) -> int:
     """Measurements for robust recovery: ceil((3r(n1+n2-r)n3 + 3/2) / (1-eps)^2)."""
     if not 0 < epsilon < 1:
         raise InvalidEpsilon(f"epsilon must be in (0, 1), got {epsilon}")
+    n1, n2, n3 = _require_nonempty((n1, n2, n3))
     r = _require_rank(r, n1, n2)
     return math.ceil((3 * r * (n1 + n2 - r) * n3 + 1.5) / (1.0 - epsilon) ** 2)
 
@@ -94,6 +95,7 @@ def robust_bound(n1: int, n2: int, n3: int, r: int, epsilon: float) -> int:
 def completion_rate_bound(n1: int, n2: int, n3: int, r: int,
                           mu: float, c0: float) -> float:
     """Sampling rate bound c0 * mu * r * log^2(max(n1,n2) n3) / (min(n1,n2) n3)."""
+    n1, n2, n3 = _require_nonempty((n1, n2, n3))
     r = _require_rank(r, n1, n2)
     n_hi, n_lo = max(n1, n2), min(n1, n2)
     return c0 * mu * r * math.log(n_hi * n3) ** 2 / (n_lo * n3)
@@ -194,14 +196,16 @@ def _coord(kind, value):
     return _require_count(value) if kind == "gaussian" else float(value)
 
 
-def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg, rank_tol) -> dict:
+def _trial(spec) -> dict:
     """Draw a tubal-rank-r tensor, sense it, recover it and judge the result.
 
+    spec is (kind, dims, r, value, seed_tensor, seed_sensing, cfg).
     kind="gaussian" measures a unit-scale tensor with `value` Gaussian
     measurements; kind="completion" samples a 1/n-scale tensor at rate `value`.
     Returns the verdict's rank_estimate and rel_error with the solver's
     iterations and converged, or {"error": text} for a _TRIAL_ERRORS exception.
     """
+    kind, dims, r, value, seed_tensor, seed_sensing, cfg = spec
     try:
         if kind == "gaussian":
             x0 = rand_low_tubal(*dims, r, seed_tensor, scale="unit")
@@ -211,7 +215,7 @@ def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg, rank_tol) -> di
             x0 = rand_low_tubal(*dims, r, seed_tensor, scale="inv_n")
             mask = make_bernoulli_mask(dims, value, seed_sensing)
             xhat, report = solve_completion(mask, x0, cfg)
-        v = make_verdict(xhat, x0, report, rank_tol=rank_tol)
+        v = make_verdict(xhat, x0, report, rank_tol=TABLE_RANK_TOL)
     except _TRIAL_ERRORS as exc:  # keep the batch alive
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"rank_estimate": v.rank_estimate, "rel_error": v.rel_error,
@@ -219,15 +223,17 @@ def _trial(kind, dims, r, value, seed_tensor, seed_sensing, cfg, rank_tol) -> di
 
 
 def _run_trials(specs) -> list:
-    """_trial(*spec) for every spec, in order.
+    """_trial(spec) for every spec, in order.
 
     A fork-context pool of min(tensor._WORKERS, len(specs)) processes runs
-    them, and is shut down before this returns, when there are at least two
-    trials and two CPUs and every trial's half-spectrum stack is below
-    tensor._PARALLEL_MIN (see the module docstring).  Otherwise, or when no
-    process can be started, they run in the calling process.  An outcome
-    depends only on its spec, so the result is the same either way; an
-    exception other than _TRIAL_ERRORS propagates with its type and message.
+    them, and is terminated before this returns, when there are at least
+    two trials and two CPUs and tensor._split splits no trial's stack (see
+    the module docstring).  Otherwise, or when no process can be started,
+    they run in the calling process; a pool that fails to start a worker
+    terminates and joins the ones it started.  An outcome depends only on
+    its spec, so the result is the same either way.  The outcomes are read
+    in order, so an exception other than _TRIAL_ERRORS propagates with its
+    type and message from the first spec that raised it.
 
     Workers are forked, not spawned, so they start with the package
     imported instead of importing numpy and scipy again.  The package's own
@@ -235,67 +241,54 @@ def _run_trials(specs) -> list:
     child builds a pool of its own.
     """
     workers = min(tensor._WORKERS, len(specs))
-    if (workers < 2 or not hasattr(os, "fork")
-            or any((n3 // 2 + 1) * n1 * n2 >= tensor._PARALLEL_MIN
-                   for _, (n1, n2, n3), *_ in specs)):
-        return [_trial(*spec) for spec in specs]
-    started = set(multiprocessing.active_children())
+    if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
+        return [_trial(spec) for spec in specs]
     try:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        futures = [pool.submit(_trial, *spec) for spec in specs]
+        pool = multiprocessing.get_context("fork").Pool(workers)
     except OSError:  # fork's EAGAIN or ENOMEM: no process to spare
-        for proc in set(multiprocessing.active_children()) - started:
-            proc.kill()  # a worker started before the failure would wait forever
-            proc.join()
-        return [_trial(*spec) for spec in specs]
-    try:
-        return [fut.result() for fut in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+        return [_trial(spec) for spec in specs]
+    with pool:
+        return list(pool.imap(_trial, specs))
 
 
-def _run_table(kind, rows, base_seed, cfg, rank_tol) -> list:
-    _require_rel_tol(rank_tol)
+def _run_table(kind, rows, base_seed, cfg) -> list:
     table, rate, sensing = (("table1", "m", "map") if kind == "gaussian"
                             else ("table2", "p", "mask"))
     out, pending, specs = [], [], []
     for n, n3, r, value in rows:
         row = {"n": n, "n3": n3, "r": r, rate: value}
         out.append(row)
-        try:  # 1.0 and 20.0 draw the trials of 1 and 20
-            _require_nonempty((n, n, n3))
+        try:  # 4.0, 1.0 and 20.0 draw the trials of 4, 1 and 20
+            n, _, n3 = _require_nonempty((n, n, n3))
             r, coord = _require_rank(r, n, n), _coord(kind, value)
         except _TRIAL_ERRORS as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             continue
         seeds = [derive_seed(base_seed, table, n, n3, r, coord, s) for s in ("tensor", sensing)]
         pending.append(row)
-        specs.append((kind, (n, n, n3), r, coord, *seeds, cfg, rank_tol))
+        specs.append((kind, (n, n, n3), r, coord, *seeds, cfg))
     for row, outcome in zip(pending, _run_trials(specs)):
         row.update(outcome)
     return out
 
 
-def run_table1(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
-               rank_tol: float = TABLE_RANK_TOL) -> list:
+def run_table1(rows, base_seed: int = 0, cfg: AdmmConfig | None = None) -> list:
     """Gaussian-measurement recovery table.
 
     rows: iterable of (n, n3, r, m).  Returns one dict per row with the
-    verdict fields; a row whose trial is rejected or fails to converge in
-    LAPACK records its error and the batch continues.  rank_tol, the
-    relative tolerance of the reported ranks, is checked before the first
-    row: outside [0, 1) it raises InvalidParameter.
+    verdict fields, ranks read at TABLE_RANK_TOL; a row whose trial is
+    rejected or fails to converge in LAPACK records its error and the
+    batch continues.
     """
-    return _run_table("gaussian", rows, base_seed, cfg, rank_tol)
+    return _run_table("gaussian", rows, base_seed, cfg)
 
 
-def run_table2(rows, base_seed: int = 0, cfg: AdmmConfig | None = None,
-               rank_tol: float = TABLE_RANK_TOL) -> list:
+def run_table2(rows, base_seed: int = 0, cfg: AdmmConfig | None = None) -> list:
     """Tensor completion table.
 
     rows: iterable of (n, n3, r, p); factors are drawn at the 1/n scale.
     """
-    return _run_table("completion", rows, base_seed, cfg, rank_tol)
+    return _run_table("completion", rows, base_seed, cfg)
 
 
 @dataclass
@@ -336,25 +329,26 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     trial), so any execution order reproduces the same grid.  Every
     argument is checked before the first trial: a rate outside (0, 1]
     raises InvalidRate; a measurement count below 1, or not finite,
-    ZeroMeasurements; a count that is not a whole number, or a threshold
-    that is negative or not finite, InvalidParameter; a rank that is not a
-    whole number in [1, min(n1, n2)] InvalidRank.
+    ZeroMeasurements; a trial count, dimension or measurement count that is
+    not a whole number, or a threshold that is negative or not finite,
+    InvalidParameter; a rank that is not a whole number in
+    [1, min(n1, n2)] InvalidRank.
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
+    trials = _whole(trials, "trial count")
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if not values or not ranks:
         raise InvalidParameter("axis lists must be nonempty")
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
-    _require_nonempty(dims)
+    n1, n2, n3 = _require_nonempty(dims)
     coords = []
     for v in values:
         if kind == "completion" and not 0.0 < float(v) <= 1.0:
             raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
         coords.append(_coord(kind, v))
-    n1, n2, n3 = dims
     ranks = [_require_rank(r, n1, n2) for r in ranks]  # 2.0 runs the trials of 2
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=ranks, trials=trials, base_seed=base_seed,
@@ -362,7 +356,7 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     cells = [(v, c, r) for v, c in zip(values, coords) for r in ranks]
     outcomes = iter(_run_trials([
         (kind, grid.dims, r, c, derive_seed(base_seed, kind, c, r, t, "tensor"),
-         derive_seed(base_seed, kind, c, r, t, "sensing"), cfg, TABLE_RANK_TOL)
+         derive_seed(base_seed, kind, c, r, t, "sensing"), cfg)
         for _, c, r in cells for t in range(trials)]))
     for v, _, r in cells:
         done = [next(outcomes) for _ in range(trials)]

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidParameter, InvalidRate, MapTooLarge, ZeroMeasurements
+from .errors import DimMismatch, InvalidRate, MapTooLarge, ZeroMeasurements
 from .rng import normal_fill, substream
-from .tensor import _require_nonempty, unvec, vec
+from .tensor import _require_nonempty, _whole, unvec, vec
 
 # Dense maps hold m*d doubles; reject anything past 2**28 values (2 GiB).
 _MAP_VALUE_LIMIT = 2 ** 28
@@ -39,9 +39,7 @@ def _require_count(m) -> int:
     when it is not a whole number."""
     if not 1 <= m < math.inf:  # also rejects NaN
         raise ZeroMeasurements(f"need a finite count of m >= 1 measurements, got {m}")
-    if not float(m).is_integer():
-        raise InvalidParameter(f"a measurement count must be a whole number, got {m}")
-    return int(m)
+    return _whole(m, "measurement count")
 
 
 def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
@@ -50,8 +48,7 @@ def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
     m must be a finite whole number >= 1 (else ZeroMeasurements or
     InvalidParameter); a whole float such as 40.0 draws the same map as 40.
     """
-    n1, n2, n3 = (int(v) for v in dims)
-    _require_nonempty((n1, n2, n3))
+    n1, n2, n3 = _require_nonempty(dims)
     m = _require_count(m)
     d = n1 * n2 * n3
     if m * d > _MAP_VALUE_LIMIT:
@@ -94,8 +91,7 @@ class SampleMask:
 
 def make_bernoulli_mask(dims, p: float, seed: int) -> SampleMask:
     """Observe each entry independently with probability p."""
-    n1, n2, n3 = (int(v) for v in dims)
-    _require_nonempty((n1, n2, n3))
+    n1, n2, n3 = _require_nonempty(dims)
     if not 0.0 < p <= 1.0:
         raise InvalidRate(f"sampling rate must be in (0, 1], got {p}")
     gen = substream(seed, "bernoulli-mask", n1, n2, n3, float(p))

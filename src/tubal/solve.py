@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .errors import DimMismatch, InvalidSolverConfig
 from .sensing import GaussianMap, SampleMask, _check_mask_dims
-from .tensor import _require_finite, _require_nonempty, unvec, vec
+from .tensor import _require_finite, _require_nonempty, _whole, unvec, vec
 from .tsvd import _SvtState, _svt_freq
 
 
@@ -63,6 +63,7 @@ class AdmmConfig:
                 f"need 0 < mu0 <= mu_max < inf, got {self.mu0}, {self.mu_max}")
         if not self.eps > 0:
             raise InvalidSolverConfig(f"eps must be positive, got {self.eps}")
+        self.max_iter = _whole(self.max_iter, "max_iter", InvalidSolverConfig)
         if self.max_iter < 1:
             raise InvalidSolverConfig(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -13,38 +13,39 @@ Fourier slice.
 
 A real tensor has a conjugate-symmetric spectrum, so only its first
 ``n3 // 2 + 1`` Fourier slices are independent.  ``_rfft3`` and ``_irfft3``
-are the one place that fact is used: every spectral routine here and in
-``tsvd`` works on that half-spectrum stack, and ``_spectral_mean`` averages
+are the one place that fact is used (and ``_split``, which sizes their
+stack): every spectral routine here and in ``tsvd`` works on that
+half-spectrum stack, and ``_spectral_mean`` averages
 per-slice values over the full spectrum, counting each slice as often as it
 occurs there.  The public ``fft_dim3``/``ifft_dim3`` keep the full
 spectrum; they serve as oracles.
 
-The Fourier slices are independent, so the per-slice kernels here and in
-``tsvd`` run in parallel through ``_sliced``: it splits the leading axis
-of a stack into one contiguous chunk per CPU in the process's affinity
-mask (``os.cpu_count()`` where the platform has no affinity call), runs
-the first chunk in the calling thread and the others on a thread pool, and
-every chunk writes its own part of a preallocated output.  The pool is
-built when this module is imported, and again in a forked child, which has
-none of its parent's threads; it starts no thread before its first task.
-Stacks of fewer than ``_PARALLEL_MIN`` elements run as one chunk; the
-experiment drivers then run whole trials on processes instead (the ``lab``
-module docstring states the rule that picks the level).  A chunk
-applies to each slice exactly the numpy/LAPACK call the whole stack would
-get, so results are bitwise identical for any worker count; every decision
-that reads more than one slice stays in the calling thread.
+The Fourier slices are independent, and the work is split over the CPUs
+in the process's affinity mask (``os.cpu_count()`` where the platform has
+no affinity call) where that measurably pays.  The FFTs run on
+``scipy.fft``'s own threads (``workers=``).  The SVD and the sketch of
+``tsvd`` run through ``_sliced``: it splits the leading axis of a stack
+into one contiguous chunk per CPU, runs the first chunk in the calling
+thread and the others on a thread pool, and every chunk writes its own
+part of a preallocated output.  The pool is built when this module is
+imported, and again in a forked child, which has none of its parent's
+threads; it starts no thread before its first task.  Every other kernel
+is one numpy call on the whole stack.  Only stacks of at least
+``_PARALLEL_MIN`` elements are split (``_split``); below it the experiment
+drivers run whole trials on processes instead (see the ``lab`` module
+docstring).  Every transform and every chunk applies to each slice
+exactly the call the whole stack would get, so results are bitwise
+identical for any worker count; every decision that reads more than one
+slice stays in the calling thread.
 
 The mask is read once, when this module is imported, so a mask set later
-(``os.sched_setaffinity``) does not change the chunk count; set it at
+(``os.sched_setaffinity``) does not change the worker count; set it at
 launch (``taskset``).  A CPU quota of the process's cgroup is not read.
 The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
 thread per call.  With OpenBLAS left at its default thread count, each
 chunk's LAPACK call starts threads of its own, the chunks compete for the
 CPUs, and the n=100 Table-2 row was slower than with the slices on one
 thread (see README).
-
-The FFTs write into their preallocated stacks through ``out=``, which
-numpy has had since 2.0.
 """
 
 import os
@@ -52,11 +53,13 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     DimMismatch,
     EmptyTensor,
     IndexOutOfRange,
+    InvalidParameter,
     LengthMismatch,
     NonFiniteValues,
     SymmetryViolation,
@@ -78,8 +81,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Chunks per slice-parallel stack, and the smallest stack (in elements) that
-# is split at all.  On 2 cores (medians of 3): a 20x20x10 phase-completion
+# Workers per split stack (the chunks of `_sliced`, the threads of an FFT),
+# and the smallest stack (in elements) that is split at all.  On 2 cores (medians of 3): a 20x20x10 phase-completion
 # grid of 8 trials (stacks of 6x20x20) took 1.25 s on one thread and 2.65 s
 # with a threshold of 2**10; at 2**15 it stays on one thread, while the
 # completion of 32 frames of 64x64 (stacks of 17x64x64) drops from 5.10 to
@@ -131,10 +134,23 @@ def _require_tensor(a, name="tensor"):
     return a
 
 
-def _require_nonempty(dims):
-    """Raise EmptyTensor unless every dimension is at least 1."""
+def _whole(v, what: str, error=InvalidParameter) -> int:
+    """v as an int; error unless v is a whole number (NaN and inf are not)."""
+    try:
+        if v == int(v):
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} {v} is not a whole number")
+
+
+def _require_nonempty(dims) -> tuple:
+    """dims as a tuple of ints: InvalidParameter unless every dimension is a
+    whole number, EmptyTensor unless every one is at least 1."""
+    dims = tuple(_whole(v, "tensor dimension") for v in dims)
     if min(dims) < 1:
-        raise EmptyTensor(f"tensor dimensions must be positive, got {tuple(dims)}")
+        raise EmptyTensor(f"tensor dimensions must be positive, got {dims}")
+    return dims
 
 
 def _require_finite(a, what: str):
@@ -169,29 +185,27 @@ def _require_tubes(a: np.ndarray):
         raise EmptyTensor(f"the third dimension must be positive, got shape {a.shape}")
 
 
+def _split(dims) -> bool:
+    """Whether the half-spectrum stack of an (n1, n2, n3) tensor is split
+    over the CPUs: it has at least _PARALLEL_MIN elements."""
+    n1, n2, n3 = dims
+    return (n3 // 2 + 1) * n1 * n2 >= _PARALLEL_MIN
+
+
+def _fft_workers(dims) -> int:
+    return _WORKERS if _split(dims) else 1
+
+
 def _rfft3(a: np.ndarray) -> np.ndarray:
     """The independent Fourier slices of a real tensor: a C-contiguous (h, n1, n2) stack."""
     _require_tubes(a)
-    n1, n2, n3 = a.shape
-    out = np.empty((n3 // 2 + 1, n1, n2), dtype=complex)
-
-    def rows(lo, hi):
-        np.fft.rfft(a[lo:hi], axis=2, out=out[:, lo:hi].transpose(1, 2, 0))
-
-    _sliced(n1, out.size, rows)
-    return out
+    return scipy.fft.rfft(a.transpose(2, 0, 1), axis=0, workers=_fft_workers(a.shape))
 
 
 def _irfft3(f: np.ndarray, n3: int) -> np.ndarray:
     """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2)."""
-    _, n1, n2 = f.shape
-    out = np.empty((n1, n2, n3))
-
-    def rows(lo, hi):
-        np.fft.irfft(f[:, lo:hi].transpose(1, 2, 0), n=n3, axis=2, out=out[lo:hi])
-
-    _sliced(n1, f.size, rows)
-    return out
+    dims = f.shape[1:] + (n3,)
+    return scipy.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2, workers=_fft_workers(dims))
 
 
 def fft_dim3(a: np.ndarray) -> np.ndarray:

@@ -59,15 +59,17 @@ G is drawn from a fixed substream keyed by the slice shape and width, so
 each call is a pure function of its input and the state, and solves replay
 bit for bit.
 
-Every per-slice kernel runs slice-parallel through `tensor._sliced`: the
-slice norms, the SVD (`_svd`, with or without vectors), one task per chunk
-for the sketch (its products, QR, power steps and Ritz SVD), the
-certificate's residuals, and the rebuild of the thresholded slices.  A
-chunk that takes a power step forms the conjugate transpose of its own
-slices inside its task; there is no separate conjugate kernel.  The zero
-test, the plan, the all-slices certificate and `paths` stay in the calling
-thread, and each slice gets the same LAPACK call for any chunking, so
-results do not depend on the worker count.
+The LAPACK work runs slice-parallel through `tensor._sliced`: the SVD
+(`_svd`, with or without vectors) and one task per chunk for the sketch
+(its products, QR, power steps and Ritz SVD).  A chunk that takes a power
+step forms the conjugate transpose of its own slices inside its task;
+there is no separate conjugate kernel.  The slice norms, the certificate's
+residuals and the rebuild of the thresholded slices are numpy calls on the
+whole stack, and the FFTs run on `scipy.fft`'s threads (see the `tensor`
+module docstring).  The zero test, the plan, the all-slices certificate
+and `paths` stay in the calling thread, and each slice gets the same
+LAPACK call for any chunking, so results do not depend on the worker
+count.
 """
 
 import math
@@ -278,13 +280,7 @@ def _threshold(u, s, vh, tau: float, n3: int):
     """Rebuild the thresholded tensor from the kept columns of per-slice factors."""
     shr = np.maximum(s - tau, 0.0)
     k = int((shr > 0.0).sum(axis=1).max()) if shr.size else 0
-    h, n1, n2 = u.shape[0], u.shape[1], vh.shape[2]
-    g = np.empty((h, n1, n2), dtype=complex)
-
-    def task(lo, hi):
-        np.matmul(u[lo:hi, :, :k] * shr[lo:hi, None, :k], vh[lo:hi, :k], out=g[lo:hi])
-
-    _sliced(h, g.size, task)
+    g = (u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k]
     return _irfft3(g, n3), float(_spectral_mean(shr, n3).sum())
 
 
@@ -300,17 +296,9 @@ def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     k = int(kept.sum(axis=1).max())
     if k > l - _SPARE or (~kept & (s > _TAIL_MARGIN * tau)).any():
         return None
-    h, n1, _ = q.shape
-    u = np.empty((h, n1, k), dtype=complex)
-    res = np.empty(h)
-
-    def task(lo, hi):
-        uc = np.matmul(q[lo:hi], ub[lo:hi, :, :k], out=u[lo:hi])
-        r = np.abs(f[lo:hi] @ vh[lo:hi, :k].conj().transpose(0, 2, 1)
-                   - uc * s[lo:hi, None, :k]) ** 2
-        res[lo:hi] = np.sqrt(np.where(kept[lo:hi, :k], r.sum(axis=1), 0.0).sum(axis=1))
-
-    _sliced(h, f.size, task)
+    u = q @ ub[:, :, :k]
+    r = np.abs(f @ vh[:, :k].conj().transpose(0, 2, 1) - u * s[:, None, :k]) ** 2
+    res = np.sqrt(np.where(kept[:, :k], r.sum(axis=1), 0.0).sum(axis=1))
     return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
 
@@ -383,17 +371,6 @@ def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: i
         fresh, todo, steps = False, 1, steps + 1
 
 
-def _slice_norms(f: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every slice of f."""
-    norms = np.empty(len(f))
-
-    def task(lo, hi):
-        norms[lo:hi] = np.linalg.norm(f[lo:hi], axis=(1, 2))
-
-    _sliced(len(f), f.size, task)
-    return norms
-
-
 def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
@@ -403,7 +380,7 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """
     n3 = y.shape[2]
     f = _rfft3(y)
-    if _slice_norms(f).max() <= tau:
+    if np.linalg.norm(f, axis=(1, 2)).max() <= tau:
         return _zero(y, state, None)
     plan = _plan(f, tau, state)
     if plan is None and state.v is None and any(state.paths.values()):

@@ -47,9 +47,11 @@ def test_rank_rules_are_shared(formula, low):
 
 
 def test_table_rows_with_a_fractional_rank_or_count_record_an_error():
-    rows = tb.run_table1([(4, 2, 1.5, 43), (4, 2, 1, 30.5)])
+    rows = tb.run_table1([(4, 2, 1.5, 43), (4, 2, 1, 30.5), (4.5, 2, 1, 43), (4, 2.5, 1, 43)])
     assert rows[0]["error"] == "InvalidRank: rank 1.5 is not a whole number"
     assert rows[1]["error"].startswith("InvalidParameter: ")
+    assert rows[2]["error"] == "InvalidParameter: tensor dimension 4.5 is not a whole number"
+    assert rows[3]["error"] == "InvalidParameter: tensor dimension 2.5 is not a whole number"
 
 
 def test_table_rows_with_whole_floats_draw_the_trials_of_the_ints():
@@ -57,8 +59,25 @@ def test_table_rows_with_whole_floats_draw_the_trials_of_the_ints():
     assert tb.run_table1([(4, 2, 1.0, 20)], base_seed=3) == ints
     assert tb.run_table1([(4, 2, 1, 20.0)], base_seed=3) == ints
     assert ints[0]["rank_estimate"] == 1
+    assert tb.run_table1([(4.0, 2.0, 1, 20)], base_seed=3) == ints
     rates = tb.run_table2([(6, 3, 1, 0.9)], base_seed=3)
     assert tb.run_table2([(6, 3, 1.0, 0.9)], base_seed=3) == rates
+    assert tb.run_table2([(6.0, 3.0, 1, 0.9)], base_seed=3) == rates
+
+
+@pytest.mark.parametrize("formula", [
+    lambda n: tb.rand_low_tubal(n, 4, 2, 1, seed=0).tobytes(),
+    lambda n: tb.dof(n, 4, 2, 1),
+    lambda n: tb.gaussian_bound(n, 4, 2, 1),
+    lambda n: tb.robust_bound(n, 4, 2, 1, epsilon=0.5),
+    lambda n: tb.completion_rate_bound(n, 4, 2, 1, mu=1.0, c0=1.0),
+])
+def test_dimensions_are_whole_numbers(formula):
+    # every generator and formula takes whole dimensions; 4.0 gives the result of 4
+    for n in (4.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            formula(n)
+    assert formula(4.0) == formula(4) and type(formula(4.0)) is type(formula(4))
 
 
 def test_rand_low_tubal_rejects_empty_shape_and_bad_scale():
@@ -246,6 +265,9 @@ def test_phase_grid_checks_values_before_any_trial(monkeypatch, kind, values, er
     ({"ranks": [0]}, InvalidRank),
     ({"ranks": [1.5]}, InvalidRank),
     ({"kind": "gaussian", "values": [32, 30.9]}, InvalidParameter),
+    ({"trials": 1.5}, InvalidParameter),
+    ({"dims": (4.7, 4, 2)}, InvalidParameter),
+    ({"dims": (4, 4, float("nan"))}, InvalidParameter),
 ])
 def test_phase_grid_checks_arguments_before_any_trial(monkeypatch, kwargs, error):
     args = {"kind": "completion", "dims": (4, 4, 2), "values": [0.9], "ranks": [1],
@@ -271,15 +293,10 @@ def test_phase_grid_runs_whole_float_ranks_as_ints():
     plain = tb.phase_grid("gaussian", (4, 4, 2), values=[20], ranks=[1],
                           trials=3, base_seed=5)
     assert whole.cells == plain.cells and whole.ranks == [1]
-
-
-@pytest.mark.parametrize("driver, row", [(tb.run_table1, (4, 2, 1, 43)),
-                                         (tb.run_table2, (4, 2, 1, 0.9))])
-@pytest.mark.parametrize("rank_tol", [2.0, -0.1, float("nan")])
-def test_table_drivers_check_rank_tol_before_any_row(monkeypatch, driver, row, rank_tol):
-    monkeypatch.setattr("tubal.lab._trial", _no_trial)
-    with pytest.raises(InvalidParameter):
-        driver([row], rank_tol=rank_tol)
+    # and so do whole dimensions and trial counts
+    whole = tb.phase_grid("gaussian", (4.0, 4, 2.0), values=[20], ranks=[1],
+                          trials=3.0, base_seed=5)
+    assert whole.cells == plain.cells and whole.dims == (4, 4, 2) and whole.trials == 3
 
 
 def test_run_table1_small_row():

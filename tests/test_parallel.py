@@ -1,5 +1,5 @@
-"""Slice-parallel kernels: chunking, error propagation, and results that do not
-depend on the worker count."""
+"""Slice-parallel kernels and FFTs, trials on processes: chunking, error
+propagation, and results that do not depend on the worker count."""
 
 import dataclasses
 import errno
@@ -8,8 +8,6 @@ import os
 import signal
 import sys
 import time
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +56,26 @@ def test_sliced_propagates_a_worker_error(monkeypatch):
 
     with pytest.raises(np.linalg.LinAlgError, match="chunk failed"):
         _with_workers(monkeypatch, 3, lambda: tensor._sliced(6, 6, task))
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n3", [1, 2, 3, 8])
+def test_ffts_match_numpy_bitwise(monkeypatch, n3, split):
+    a = np.random.default_rng(n3).standard_normal((9, 7, n3))
+    half = (n3 // 2 + 1) * 9 * 7
+    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", half if split else half + 1)
+    for x in (a, a.transpose(1, 0, 2)):  # a contiguous and a strided tensor
+        assert tensor._split(x.shape) == split
+        f = tensor._rfft3(x)
+        assert f.shape == (n3 // 2 + 1,) + x.shape[:2] and f.flags.c_contiguous
+        assert f.tobytes() == np.fft.rfft(x, axis=2).transpose(2, 0, 1).tobytes()
+        back = tensor._irfft3(f, n3)
+        assert back.tobytes() == np.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2).tobytes()
+        # a strided stack, as the rebuild of kept columns passes it
+        part = tensor._irfft3(f[:, :, :2], n3)
+        assert part.tobytes() == np.fft.irfft(f[:, :, :2].transpose(1, 2, 0), n=n3,
+                                              axis=2).tobytes()
 
 
 def _spectral_outputs(shape, seed):
@@ -120,15 +138,17 @@ def test_completion_bitwise_for_any_worker_count(monkeypatch, dims, r, p):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_its_own_pool(monkeypatch):
     # without the reset, a child would queue its chunks on the parent's
-    # pool, whose threads it does not have, and wait for them forever
+    # pool, whose threads it does not have, and wait for them forever; the
+    # FFTs run on scipy.fft's threads, which the child must get too
     a = np.random.default_rng(5).standard_normal((6, 5, 4))
-    expected = tb.tprod(a, a.transpose(1, 0, 2))
+    tau = 0.5 * tb.singular_values(a)[0]
 
     def both():
-        tb.tprod(a, a.transpose(1, 0, 2))  # the pool exists before the fork
+        expected = tb.svt(a, tau)  # the FFT and slice threads exist before the fork
+        assert tensor._split(a.shape) and tensor._WORKERS > 1
         pid = os.fork()
         if pid == 0:
-            ok = tb.tprod(a, a.transpose(1, 0, 2)).tobytes() == expected.tobytes()
+            ok = tb.svt(a, tau).tobytes() == expected.tobytes()
             os._exit(0 if ok else 1)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -150,13 +170,14 @@ def _with_processes(monkeypatch, count, fn):
     pool's threads started before any fork; returns (fn(), sizes of the
     process pools built)."""
     built = []
+    fork = type(multiprocessing.get_context("fork"))
+    pool = fork.Pool
 
-    class Counting(ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            built.append(workers)
-            super().__init__(workers, **kwargs)
+    def counting(self, processes=None, *args, **kwargs):
+        built.append(processes)
+        return pool(self, processes, *args, **kwargs)
 
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(fork, "Pool", counting)
     shipped = tensor._PARALLEL_MIN
 
     def run():
@@ -213,7 +234,7 @@ def test_a_tubal_error_in_a_worker_is_recorded_as_in_process(monkeypatch):
     assert one[0].errors == [] and np.isnan(one[1].mean_rel_err)
 
 
-def _buggy_trial(*spec):
+def _buggy_trial(spec):
     raise RuntimeError(f"trial bug at seed {spec[4]}")
 
 
@@ -245,7 +266,7 @@ def _eagain(*_, **__):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("refuse", ["executor", "second fork"])
+@pytest.mark.parametrize("refuse", ["first fork", "second fork"])
 def test_no_process_to_spare_runs_the_trials_in_process(monkeypatch, refuse):
     def grid():
         return tb.phase_grid("gaussian", (5, 5, 2), values=[20, 40], ranks=[1], trials=2,
@@ -255,20 +276,20 @@ def test_no_process_to_spare_runs_the_trials_in_process(monkeypatch, refuse):
     one = grid()
     monkeypatch.setattr(tensor, "_WORKERS", 3)
     forks = []
-    if refuse == "executor":
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", _eagain)
-    else:  # one worker starts, then fork fails: that worker must not be left waiting
-        fork = os.fork
+    refused = 1 if refuse == "first fork" else 2
+    fork = os.fork
 
-        def fork_once():
-            forks.append(len(forks))
-            return fork() if len(forks) == 1 else _eagain()
+    def refusing_fork():
+        # after the second fork fails, the worker the first one started
+        # must not be left waiting
+        forks.append(len(forks))
+        return _eagain() if len(forks) == refused else fork()
 
-        monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "fork", refusing_fork)
     children = set(multiprocessing.active_children())
     cells = grid()
     left = set(multiprocessing.active_children()) - children
     for proc in left:  # fail the test rather than hang the interpreter's exit
         proc.kill()
     assert cells == one and not left
-    assert forks == ([] if refuse == "executor" else [0, 1])
+    assert forks == list(range(refused))

@@ -104,6 +104,18 @@ def test_constructors_reject_empty_dims(dims):
         tb.make_gaussian_map(5, dims, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda dims: tb.make_gaussian_map(40, dims, 0).a,
+    lambda dims: tb.make_bernoulli_mask(dims, 0.5, 0).observed,
+])
+def test_constructors_take_whole_dims(build):
+    # a fractional dimension is rejected, not truncated; 4.0 builds the object of 4
+    for n in (4.7, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            build((n, 4, 2))
+    assert np.array_equal(build((4.0, 4, 2.0)), build((4, 4, 2)))
+
+
 def test_projections_partition_and_scale():
     mask = tb.make_bernoulli_mask((6, 5, 4), 0.5, seed=8)
     x = RNG.standard_normal((6, 5, 4))

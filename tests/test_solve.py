@@ -32,6 +32,11 @@ def test_config_validation():
         AdmmConfig(eps=0.0)
     with pytest.raises(InvalidSolverConfig):
         AdmmConfig(max_iter=0)
+    for max_iter in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidSolverConfig):
+            AdmmConfig(max_iter=max_iter)
+    assert AdmmConfig(max_iter=3.0) == AdmmConfig(max_iter=3)
+    assert type(AdmmConfig(max_iter=3.0).max_iter) is int
 
 
 def test_penalty_trajectory_exact():

@@ -267,7 +267,7 @@ def test_svt_values_first_zero():
     y = _rand((40, 36, 4), 93)
     tau = 1.01 * tb.spectral_norm(y)
     f = tsvd_module._rfft3(y)
-    assert tsvd_module._slice_norms(f).min() > tau
+    assert np.linalg.norm(f, axis=(1, 2)).min() > tau
     state = tsvd_module._SvtState()
     tsvd_module._svt_freq(y, 2.0 * np.linalg.norm(y), state)  # zero from the norms
     x, t = tsvd_module._svt_freq(y, tau, state)
