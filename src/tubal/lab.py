@@ -9,13 +9,14 @@ grid cells are reproducible independently of execution order.
 That independence is also what lets the drivers run trials in parallel.
 The package has two levels of parallelism, and ``tensor._split`` picks
 one from a trial's dims.  When it splits the trial's half-spectrum stack,
-the FFTs run on ``scipy.fft`` threads and the SVD and the sketch on the
-slice pool (see the ``tensor`` module docstring), and the trials run one
-after another.  Otherwise nothing in a trial is split, and ``_run_trials``
-runs the trials themselves on a fork-context ``multiprocessing.Pool`` of
-one process per CPU.  Each worker holds its own trial in memory, so a
-driver's peak memory grows to about one trial per worker; the calling
-process's ``ru_maxrss`` leaves the workers out (they count under
+the FFTs run on ``scipy.fft`` threads and the SVD and the sketch on
+threads that each split call starts and joins (see the ``tensor`` module
+docstring), and the trials run one after another.  Otherwise nothing in a
+trial is split, and ``_run_trials`` runs the trials themselves on a
+fork-context ``multiprocessing.Pool`` of one process per CPU in the
+affinity mask, read at each call.  Each worker holds its own trial in
+memory, so a driver's peak memory grows to about one trial per worker; the
+calling process's ``ru_maxrss`` leaves the workers out (they count under
 ``RUSAGE_CHILDREN``).
 """
 
@@ -32,11 +33,11 @@ from .errors import (
     InvalidEpsilon,
     InvalidParameter,
     InvalidRank,
-    InvalidRate,
     TubalError,
 )
 from .rng import derive_seed, normal_fill, substream
-from .sensing import _require_count, apply_map, make_bernoulli_mask, make_gaussian_map
+from .sensing import _require_count, _require_rate, apply_map, make_bernoulli_mask
+from .sensing import make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
 from .tensor import _require_nonempty, _whole, ctranspose, tprod
 from .tsvd import TSvdFactors, tubal_rank
@@ -225,8 +226,8 @@ def _trial(spec) -> dict:
 def _run_trials(specs) -> list:
     """_trial(spec) for every spec, in order.
 
-    A fork-context pool of min(tensor._WORKERS, len(specs)) processes runs
-    them, and is terminated before this returns, when there are at least
+    A fork-context pool of min(tensor._cpu_count(), len(specs)) processes
+    runs them, and is terminated before this returns, when there are at least
     two trials and two CPUs and tensor._split splits no trial's stack (see
     the module docstring).  Otherwise, or when no process can be started,
     they run in the calling process; a pool that fails to start a worker
@@ -236,11 +237,11 @@ def _run_trials(specs) -> list:
     type and message from the first spec that raised it.
 
     Workers are forked, not spawned, so they start with the package
-    imported instead of importing numpy and scipy again.  The package's own
-    threads, the slice pool's, are idle between _sliced calls, and a forked
-    child builds a pool of its own.
+    imported instead of importing numpy and scipy again.  The package holds
+    no thread between calls (_sliced joins its own), so a worker inherits
+    none.
     """
-    workers = min(tensor._WORKERS, len(specs))
+    workers = min(tensor._cpu_count(), len(specs))
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
         return [_trial(spec) for spec in specs]
     try:
@@ -344,11 +345,10 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
     n1, n2, n3 = _require_nonempty(dims)
-    coords = []
-    for v in values:
-        if kind == "completion" and not 0.0 < float(v) <= 1.0:
-            raise InvalidRate(f"sampling rate must be in (0, 1], got {v}")
-        coords.append(_coord(kind, v))
+    if kind == "completion":
+        for v in values:
+            _require_rate(float(v))
+    coords = [_coord(kind, v) for v in values]
     ranks = [_require_rank(r, n1, n2) for r in ranks]  # 2.0 runs the trials of 2
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=ranks, trials=trials, base_seed=base_seed,

@@ -89,11 +89,16 @@ class SampleMask:
         return int(self.observed.sum())
 
 
+def _require_rate(p):
+    """Raise InvalidRate unless p is a sampling rate in (0, 1] (NaN is not)."""
+    if not 0.0 < p <= 1.0:
+        raise InvalidRate(f"sampling rate must be in (0, 1], got {p}")
+
+
 def make_bernoulli_mask(dims, p: float, seed: int) -> SampleMask:
     """Observe each entry independently with probability p."""
     n1, n2, n3 = _require_nonempty(dims)
-    if not 0.0 < p <= 1.0:
-        raise InvalidRate(f"sampling rate must be in (0, 1], got {p}")
+    _require_rate(p)
     gen = substream(seed, "bernoulli-mask", n1, n2, n3, float(p))
     u = gen.random(n1 * n2 * n3)
     observed = (u < p).reshape((n1, n2, n3), order="F")

@@ -29,7 +29,7 @@ off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).
 
 Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),
 infinity-norm stopping criteria and one `tsvd._SvtState` per solve, through
-which each SVT call takes its cheapest exact path (see `tsvd`).
+which each SVT call takes its cheapest path (see `tsvd`).
 `SolverReport.svt_paths` counts the calls per path; no CLI file holds it.
 At the iteration cap the report has converged=False and the last iterate.
 """

@@ -22,15 +22,18 @@ spectrum; they serve as oracles.
 
 The Fourier slices are independent, and the work is split over the CPUs
 in the process's affinity mask (``os.cpu_count()`` where the platform has
-no affinity call) where that measurably pays.  The FFTs run on
-``scipy.fft``'s own threads (``workers=``).  The SVD and the sketch of
-``tsvd`` run through ``_sliced``: it splits the leading axis of a stack
-into one contiguous chunk per CPU, runs the first chunk in the calling
-thread and the others on a thread pool, and every chunk writes its own
-part of a preallocated output.  The pool is built when this module is
-imported, and again in a forked child, which has none of its parent's
-threads; it starts no thread before its first task.  Every other kernel
-is one numpy call on the whole stack.  Only stacks of at least
+no affinity call) where that measurably pays.  The mask is read by each
+split call (``_cpu_count``), so a mask narrowed after import
+(``os.sched_setaffinity``) is honoured; a CPU quota of the process's
+cgroup is not read.  The FFTs run on ``scipy.fft``'s own threads
+(``workers=``).  The SVD and the sketch of ``tsvd`` run through
+``_sliced``: it splits the leading axis of a stack into one contiguous
+chunk per CPU, runs the first chunk in the calling thread and each other
+one on a thread it starts and joins before it returns, and every chunk
+writes its own part of a preallocated output.
+The package holds no thread between calls, so a forked child (the
+``lab`` trial workers, or a user's) inherits none.  Every other kernel is
+one numpy call on the whole stack.  Only stacks of at least
 ``_PARALLEL_MIN`` elements are split (``_split``); below it the experiment
 drivers run whole trials on processes instead (see the ``lab`` module
 docstring).  Every transform and every chunk applies to each slice
@@ -38,9 +41,6 @@ exactly the call the whole stack would get, so results are bitwise
 identical for any worker count; every decision that reads more than one
 slice stays in the calling thread.
 
-The mask is read once, when this module is imported, so a mask set later
-(``os.sched_setaffinity``) does not change the worker count; set it at
-launch (``taskset``).  A CPU quota of the process's cgroup is not read.
 The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
 thread per call.  With OpenBLAS left at its default thread count, each
 chunk's LAPACK call starts threads of its own, the chunks compete for the
@@ -49,7 +49,7 @@ thread (see README).
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -75,56 +75,43 @@ _ORACLE_SIDE_LIMIT = 512
 
 
 def _cpu_count() -> int:
+    """The CPUs in the process's affinity mask, read at each call."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-# Workers per split stack (the chunks of `_sliced`, the threads of an FFT),
-# and the smallest stack (in elements) that is split at all.  On 2 cores (medians of 3): a 20x20x10 phase-completion
-# grid of 8 trials (stacks of 6x20x20) took 1.25 s on one thread and 2.65 s
-# with a threshold of 2**10; at 2**15 it stays on one thread, while the
-# completion of 32 frames of 64x64 (stacks of 17x64x64) drops from 5.10 to
-# 3.34 s.
-_WORKERS = _cpu_count()
+# The smallest stack (in elements) that is split over the CPUs (the chunks
+# of `_sliced`, the threads of an FFT).  On 2 cores (medians of 3): a
+# 20x20x10 phase-completion grid of 8 trials (stacks of 6x20x20) took
+# 1.25 s on one thread and 2.65 s with a threshold of 2**10; at 2**15 it
+# stays on one thread, while the completion of 32 frames of 64x64 (stacks
+# of 17x64x64) drops from 5.10 to 3.34 s.
 _PARALLEL_MIN = 2 ** 15
-
-
-def _new_pool():
-    """Give this process a pool of _WORKERS - 1 threads; none starts before its first task."""
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="tubal-slices")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the parent's pool threads
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _sliced(n: int, size: int, task) -> None:
     """Run task(lo, hi) over contiguous chunks [lo, hi) covering range(n).
 
-    One chunk per worker, at most n; one chunk when the stack has fewer
-    than _PARALLEL_MIN elements (size).  The calling thread runs the first
-    chunk and waits for the others; an exception of any chunk propagates.
-    A task writes only its own part of its outputs, never calls _sliced,
-    and calls no public function of the package, so a tracer that wraps
-    those (perfbench's) sees calls from the calling thread only.
+    One chunk per CPU, at most n; one chunk when the stack has fewer than
+    _PARALLEL_MIN elements (size).  The calling thread runs the first chunk
+    and a thread started for each other chunk runs that one; every thread
+    is joined before this returns, and an exception of any chunk
+    propagates.  A task writes only
+    its own part of its outputs, never calls _sliced, and calls no public
+    function of the package, so a tracer that wraps those (perfbench's)
+    sees calls from the calling thread only.
     """
-    parts = min(_WORKERS, n) if size >= _PARALLEL_MIN else 1
+    parts = min(_cpu_count(), n) if size >= _PARALLEL_MIN else 1
     if parts <= 1:
         task(0, n)
         return
     edges = [n * i // parts for i in range(parts + 1)]
-    futures = [_pool.submit(task, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-    try:
+    with ThreadPoolExecutor(parts - 1, thread_name_prefix="tubal-slices") as pool:
+        rest = pool.map(task, edges[1:-1], edges[2:])
         task(edges[0], edges[1])
-    finally:
-        wait(futures)
-    for fut in futures:
-        fut.result()
+        list(rest)
 
 
 def _require_tensor(a, name="tensor"):
@@ -193,7 +180,7 @@ def _split(dims) -> bool:
 
 
 def _fft_workers(dims) -> int:
-    return _WORKERS if _split(dims) else 1
+    return _cpu_count() if _split(dims) else 1
 
 
 def _rfft3(a: np.ndarray) -> np.ndarray:
@@ -312,18 +299,17 @@ def tprod_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ctranspose(a: np.ndarray) -> np.ndarray:
     """Transpose every frontal slice and reverse the order of slices 2..n3."""
     a = _require_tensor(a)
+    _require_tubes(a)
     n1, n2, n3 = a.shape
     out = np.empty((n2, n1, n3))
     out[:, :, 0] = a[:, :, 0].T
-    if n3 > 1:
-        out[:, :, 1:] = a[:, :, :0:-1].transpose(1, 0, 2)
+    out[:, :, 1:] = a[:, :, :0:-1].transpose(1, 0, 2)
     return out
 
 
 def identity(n: int, n3: int) -> np.ndarray:
     """Identity tensor: first frontal slice is eye(n), all other slices zero."""
-    if n < 1 or n3 < 1:
-        raise DimMismatch("identity needs n >= 1 and n3 >= 1")
+    n, _, n3 = _require_nonempty((n, n, n3))
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out
@@ -370,35 +356,33 @@ def vec(x: np.ndarray) -> np.ndarray:
 def unvec(arr: np.ndarray, dims) -> np.ndarray:
     """Inverse of vec for the given (n1, n2, n3)."""
     arr = np.asarray(arr, dtype=float).reshape(-1)
-    n1, n2, n3 = dims
+    n1, n2, n3 = (_whole(v, "tensor dimension") for v in dims)
     if arr.size != n1 * n2 * n3:
         raise LengthMismatch(f"expected {n1 * n2 * n3} values, got {arr.size}")
     return np.ascontiguousarray(arr.reshape((n1, n2, n3), order="F"))
 
 
+def _unit(index, dims, what: str) -> np.ndarray:
+    """Zero tensor of shape dims with a single 1 at index (0-based)."""
+    dims = _require_nonempty(dims)
+    index = tuple(_whole(v, what) for v in index)
+    if not all(0 <= v < n for v, n in zip(index, dims)):
+        raise IndexOutOfRange(f"{what} {index} outside {dims}")
+    out = np.zeros(dims)
+    out[index] = 1.0
+    return out
+
+
 def column_basis(i: int, n: int, n3: int) -> np.ndarray:
     """Column basis tensor of size (n, 1, n3) with entry (i, 0, 0) = 1 (0-based i)."""
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"column index {i} outside [0, {n})")
-    out = np.zeros((n, 1, n3))
-    out[i, 0, 0] = 1.0
-    return out
+    return _unit((i, 0, 0), (n, 1, n3), "column index")
 
 
 def tube_basis(k: int, n3: int) -> np.ndarray:
     """Tube basis tensor of size (1, 1, n3) with entry (0, 0, k) = 1 (0-based k)."""
-    if not 0 <= k < n3:
-        raise IndexOutOfRange(f"tube index {k} outside [0, {n3})")
-    out = np.zeros((1, 1, n3))
-    out[0, 0, k] = 1.0
-    return out
+    return _unit((0, 0, k), (1, 1, n3), "tube index")
 
 
 def unit_basis(i: int, j: int, k: int, dims) -> np.ndarray:
     """Unit tensor with a single 1 at (i, j, k); equals column(i) * tube(k) * column(j)^H."""
-    n1, n2, n3 = dims
-    if not (0 <= i < n1 and 0 <= j < n2 and 0 <= k < n3):
-        raise IndexOutOfRange(f"index ({i}, {j}, {k}) outside {tuple(dims)}")
-    out = np.zeros((n1, n2, n3))
-    out[i, j, k] = 1.0
-    return out
+    return _unit((i, j, k), dims, "index")

@@ -48,13 +48,17 @@ value not kept is at most `_TAIL_MARGIN` * tau, the kept rank leaves
 The left equation U_k^H F = S_k V_k^H holds exactly by construction, so the
 residual bounds the distance to an exact factorization of F plus a tail
 orthogonal to the kept triplets; since the SVT is 1-Lipschitz, it bounds
-the slice's error as long as that tail stays below tau.  The Ritz margin,
-the spare columns and the power steps are what make a tail singular value
-above tau that the sketch missed improbable; they do not rule it out the
-way the zero path's norm test does.  Without the rule that a sketch needs
-a last spectrum, an 8-column cold sketch of a gapless spectrum can read its
-top value low by more than the margin and return zero for a slice whose
-sigma_1 exceeds tau (seen on fully observed 36x36x3 Gaussian noise).
+the slice's error as long as that tail stays below tau.  Nothing checks
+that it does: the Ritz margin, the spare columns and the power steps do
+not rule out a tail singular value above tau that the sketch missed, and
+with a dense tail just under tau such a miss is common.  In ROADMAP item 1's
+probe (a 4th singular value just above tau over 10-49 tail values at
+0.80-0.94 tau), 22 of 200 draws took the truncated path and all 22 were
+wrong, with relative error up to 2.7e-3; item 1 is the fix.  Without the
+rule that a sketch needs a last spectrum, an 8-column cold sketch of a
+gapless spectrum can read its top value low by more than the margin and
+return zero for a slice whose sigma_1 exceeds tau (seen on fully observed
+36x36x3 Gaussian noise).
 G is drawn from a fixed substream keyed by the slice shape and width, so
 each call is a pure function of its input and the state, and solves replay
 bit for bit.
@@ -82,13 +86,14 @@ from .errors import InvalidParameter, NegativeThreshold
 from .rng import substream
 from .tensor import (
     _irfft3,
-    _require_tensor,
     _require_tubes,
     _rfft3,
     _sliced,
     _spectral_mean,
+    _whole,
     ctranspose,
     tprod,
+    validate_tensor,
 )
 
 
@@ -129,7 +134,7 @@ def _slice_svals(a: np.ndarray) -> np.ndarray:
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Tensor singular values s(i, i, 1), non-increasing, length min(n1, n2)."""
-    a = _require_tensor(a)
+    a = validate_tensor(a)
     return _spectral_mean(_slice_svals(a), a.shape[2])
 
 
@@ -170,12 +175,14 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
     a : ndarray (n1, n2, n3)
     mode : "full" keeps k = min(n1, n2) components; "skinny" truncates to
         the tubal rank at rank_tol (or to the caller-supplied k).
-    k : explicit number of components for skinny mode.
+    k : explicit number of components for skinny mode, a whole number >= 0.
     rank_tol : relative threshold in [0, 1) used to count nonzero singular values.
     """
-    a = _require_tensor(a)
+    a = validate_tensor(a)
     if mode not in ("full", "skinny"):
         raise InvalidParameter(f"mode must be 'full' or 'skinny', got {mode!r}")
+    if k is not None and (k := _whole(k, "component count k")) < 0:
+        raise InvalidParameter(f"component count k must be >= 0, got {k}")
     _require_rel_tol(rank_tol)
     n1, n2, n3 = a.shape
     ub, sb, vhb = _svd(_rfft3(a))
@@ -221,8 +228,7 @@ def tnn(a: np.ndarray) -> float:
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest spectral norm over the Fourier slices (= block-circulant 2-norm)."""
-    a = _require_tensor(a)
-    sv = _slice_svals(a)
+    sv = _slice_svals(validate_tensor(a))
     return float(sv[:, 0].max()) if sv.size else 0.0
 
 
@@ -234,7 +240,7 @@ def avg_rank(a: np.ndarray, rel_tol: float = 1e-6) -> float:
     the materialized block-circulant matrix.
     """
     _require_rel_tol(rel_tol)
-    a = _require_tensor(a)
+    a = validate_tensor(a)
     sv = _slice_svals(a)
     top = sv.max(initial=0.0)
     if top == 0.0:
@@ -416,7 +422,7 @@ def svt(y: np.ndarray, tau: float) -> np.ndarray:
     the result is the exact zero of the norm test or comes from the full
     SVD.
     """
-    y = _require_tensor(y)
+    y = validate_tensor(y)
     _require_tubes(y)
     if not tau >= 0:  # also rejects NaN
         raise NegativeThreshold(f"threshold must be a number >= 0, got {tau}")

@@ -1,4 +1,8 @@
+import multiprocessing
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
 import tubal as tb
@@ -9,6 +13,20 @@ from tubal.rng import substream
 # deadline.
 settings.register_profile("tubal", derandomize=True, database=None, deadline=None)
 settings.load_profile("tubal")
+
+
+@pytest.fixture(autouse=True)
+def nothing_outlives_the_test():
+    """Fail a test that leaves a new thread alive or a child process running."""
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in threads]
+    running = [p for p in multiprocessing.active_children() if p not in children]
+    for proc in running:  # fail the test rather than hang the interpreter's exit
+        proc.kill()
+        proc.join(10)
+    assert not left and not running, f"left alive: threads {left}, processes {running}"
 
 
 def positive_low_tubal(n1, n2, n3, r, seed):

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -19,16 +20,10 @@ from tubal.solve import AdmmConfig
 
 
 def _with_workers(monkeypatch, count, fn):
-    """fn() with `count` workers, every stack split, on a pool of its own."""
-    saved = tensor._pool
-    monkeypatch.setattr(tensor, "_WORKERS", count)
+    """fn() with `count` workers and every stack split."""
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: count)
     monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
-    tensor._new_pool()
-    try:
-        return fn()
-    finally:
-        tensor._pool.shutdown()
-        tensor._pool = saved
+    return fn()
 
 
 @pytest.mark.parametrize("n, workers", [(7, 3), (2, 3), (1, 3), (6, 1)])
@@ -43,7 +38,7 @@ def test_sliced_chunks_cover_the_axis(monkeypatch, n, workers):
 
 
 def test_small_stacks_stay_in_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 3)
     seen = []
     tensor._sliced(9, tensor._PARALLEL_MIN - 1, lambda lo, hi: seen.append((lo, hi)))
     assert seen == [(0, 9)]
@@ -63,7 +58,7 @@ def test_sliced_propagates_a_worker_error(monkeypatch):
 def test_ffts_match_numpy_bitwise(monkeypatch, n3, split):
     a = np.random.default_rng(n3).standard_normal((9, 7, n3))
     half = (n3 // 2 + 1) * 9 * 7
-    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 3)
     monkeypatch.setattr(tensor, "_PARALLEL_MIN", half if split else half + 1)
     for x in (a, a.transpose(1, 0, 2)):  # a contiguous and a strided tensor
         assert tensor._split(x.shape) == split
@@ -135,17 +130,44 @@ def test_completion_bitwise_for_any_worker_count(monkeypatch, dims, r, p):
         assert min(one[1]["svt_paths"].values()) > 0
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_gets_its_own_pool(monkeypatch):
-    # without the reset, a child would queue its chunks on the parent's
-    # pool, whose threads it does not have, and wait for them forever; the
-    # FFTs run on scipy.fft's threads, which the child must get too
+def _split_svt():
+    """A 6x5x4 tensor, a threshold that keeps a value, and their svt."""
     a = np.random.default_rng(5).standard_normal((6, 5, 4))
     tau = 0.5 * tb.singular_values(a)[0]
+    return a, tau, tb.svt(a, tau)
+
+
+def test_no_slice_thread_outlives_its_call(monkeypatch):
+    seen = []
+
+    def run():
+        tensor._sliced(6, 6, lambda lo, hi: seen.append((lo, threading.current_thread().name)))
+        _split_svt()
+
+    _with_workers(monkeypatch, 3, run)
+    names = [name for _, name in sorted(seen)]
+    assert names[0] == threading.current_thread().name
+    assert len(names) == 3 and all(n.startswith("tubal-slices") for n in names[1:])
+    assert not [t for t in threading.enumerate() if t.name.startswith("tubal-slices")]
+
+
+def test_affinity_narrowed_after_import_is_honoured(monkeypatch):
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    seen = []
+    tensor._sliced(9, 9, lambda lo, hi: seen.append((lo, hi)))
+    assert sorted(seen) == [(0, 3), (3, 6), (6, 9)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_its_own_stacks(monkeypatch):
+    # a child forked after the parent split a stack has none of the
+    # parent's threads: its own split calls must start theirs, and the FFTs
+    # run on scipy.fft's threads, which the child must get too
 
     def both():
-        expected = tb.svt(a, tau)  # the FFT and slice threads exist before the fork
-        assert tensor._split(a.shape) and tensor._WORKERS > 1
+        a, tau, expected = _split_svt()  # the FFT and slice threads ran before the fork
+        assert tensor._split(a.shape) and tensor._cpu_count() > 1
         pid = os.fork()
         if pid == 0:
             ok = tb.svt(a, tau).tobytes() == expected.tobytes()
@@ -166,9 +188,8 @@ def test_forked_child_gets_its_own_pool(monkeypatch):
 # -- trials on one process per CPU ---------------------------------------------
 
 def _with_processes(monkeypatch, count, fn):
-    """fn() with `count` workers, the shipped stack threshold, and the slice
-    pool's threads started before any fork; returns (fn(), sizes of the
-    process pools built)."""
+    """fn() with `count` workers and the shipped stack threshold; returns
+    (fn(), sizes of the process pools built)."""
     built = []
     fork = type(multiprocessing.get_context("fork"))
     pool = fork.Pool
@@ -178,14 +199,8 @@ def _with_processes(monkeypatch, count, fn):
         return pool(self, processes, *args, **kwargs)
 
     monkeypatch.setattr(fork, "Pool", counting)
-    shipped = tensor._PARALLEL_MIN
-
-    def run():
-        tensor._sliced(count, count, lambda lo, hi: time.sleep(0.01))
-        monkeypatch.setattr(tensor, "_PARALLEL_MIN", shipped)
-        return fn()
-
-    return _with_workers(monkeypatch, count, run), built
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: count)
+    return fn(), built
 
 
 def _driver_outputs():
@@ -272,9 +287,9 @@ def test_no_process_to_spare_runs_the_trials_in_process(monkeypatch, refuse):
         return tb.phase_grid("gaussian", (5, 5, 2), values=[20, 40], ranks=[1], trials=2,
                              base_seed=3).cells
 
-    monkeypatch.setattr(tensor, "_WORKERS", 1)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
     one = grid()
-    monkeypatch.setattr(tensor, "_WORKERS", 3)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 3)
     forks = []
     refused = 1 if refuse == "first fork" else 2
     fork = os.fork

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubal as tb
-from tubal.errors import EmptyTensor, InvalidParameter, NegativeThreshold
+from tubal.errors import (
+    EmptyTensor,
+    InvalidParameter,
+    NegativeThreshold,
+    NonFiniteValues,
+)
 
 # the package exports the function tsvd under the module's name
 tsvd_module = importlib.import_module("tubal.tsvd")
@@ -160,6 +165,44 @@ def test_zero_third_dimension_rejected():
                  lambda: tb.ifft_dim3(a.astype(complex))):
         with pytest.raises(EmptyTensor):
             call()
+
+
+
+def _with_entry(value):
+    a = _rand((4, 3, 3), 2)
+    a[1, 2, 0] = value
+    return a
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [tb.tnn, tb.tubal_rank, tb.singular_values, tb.spectral_norm,
+                                  tb.avg_rank, tb.tsvd, lambda a: tb.svt(a, 0.5)])
+def test_nonfinite_entries_rejected(call, value):
+    with pytest.raises(NonFiniteValues):
+        call(_with_entry(value))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tb.tsvd(_rand((4, 3, 3), 1), "skinny", k=-1), InvalidParameter),
+    (lambda: tb.tsvd(_rand((4, 3, 3), 1), "skinny", k=2.5), InvalidParameter),
+    (lambda: tb.identity(2.5, 3), InvalidParameter),
+    (lambda: tb.unvec(np.zeros(10), (2.5, 2, 2)), InvalidParameter),
+    (lambda: tb.column_basis(1.5, 4, 3), InvalidParameter),
+    (lambda: tb.tube_basis(0, 2.5), InvalidParameter),
+    (lambda: tb.unit_basis(0, 0, 0, (2, 2, 0)), EmptyTensor),
+    (lambda: tb.ctranspose(np.zeros((2, 2, 0))), EmptyTensor),
+])
+def test_bad_counts_dims_and_indices_raise_named_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_whole_float_counts_and_indices_act_as_ints():
+    a = _rand((4, 3, 3), 1)
+    assert tb.tsvd(a, "skinny", k=2.0).k == 2
+    assert tb.tsvd(a, "skinny", k=0).k == 0
+    assert tb.identity(2.0, 3).tobytes() == tb.identity(2, 3).tobytes()
+    assert tb.column_basis(1.0, 4, 3).tobytes() == tb.column_basis(1, 4, 3).tobytes()
 
 
 def _svt_slice_oracle(y, tau):
