@@ -9,15 +9,18 @@ grid cells are reproducible independently of execution order.
 That independence is also what lets the drivers run trials in parallel.
 The package has two levels of parallelism, and ``tensor._split`` picks
 one from a trial's dims.  When it splits the trial's half-spectrum stack,
-the FFTs run on ``scipy.fft`` threads and the SVD and the sketch on
-threads that each split call starts and joins (see the ``tensor`` module
-docstring), and the trials run one after another.  Otherwise nothing in a
-trial is split, and ``_run_trials`` runs the trials themselves on a
-fork-context ``multiprocessing.Pool`` of one process per CPU in the
-affinity mask, read at each call.  Each worker holds its own trial in
-memory, so a driver's peak memory grows to about one trial per worker; the
-calling process's ``ru_maxrss`` leaves the workers out (they count under
-``RUSAGE_CHILDREN``).
+the trials run one after another, and each splits its kernels by the
+package's one rule (``tensor._parts``): the FFTs run on ``scipy.fft``
+threads, and the SVD, the sketch, the normal fills and a Gaussian trial's
+Gram product on threads that each split call starts and joins (see the
+``tensor`` module docstring).  Otherwise ``_run_trials`` runs the trials
+themselves on a fork-context ``multiprocessing.Pool`` of one process per
+CPU in the affinity mask, read at each call, and a worker splits no kernel
+(``tensor._trial_process``), so it starts no thread: a Gaussian trial
+there draws its map and forms its Gram on one CPU.  Each worker holds its
+own trial in memory, so a driver's peak memory grows to about one trial
+per worker; the calling process's ``ru_maxrss`` leaves the workers out
+(they count under ``RUSAGE_CHILDREN``).
 """
 
 import math
@@ -223,14 +226,20 @@ def _trial(spec) -> dict:
             "iterations": report.iterations, "converged": report.converged}
 
 
+def _trial_worker():
+    """Pool initializer: a trial on a worker process splits no kernel."""
+    tensor._trial_process = True
+
+
 def _run_trials(specs) -> list:
     """_trial(spec) for every spec, in order.
 
     A fork-context pool of min(tensor._cpu_count(), len(specs)) processes
     runs them, and is terminated before this returns, when there are at least
     two trials and two CPUs and tensor._split splits no trial's stack (see
-    the module docstring).  Otherwise, or when no process can be started,
-    they run in the calling process; a pool that fails to start a worker
+    the module docstring); no worker splits a kernel (_trial_worker).
+    Otherwise, or when no process can be started, they run in the calling
+    process; a pool that fails to start a worker
     terminates and joins the ones it started.  An outcome depends only on
     its spec, so the result is the same either way.  The outcomes are read
     in order, so an exception other than _TRIAL_ERRORS propagates with its
@@ -238,14 +247,14 @@ def _run_trials(specs) -> list:
 
     Workers are forked, not spawned, so they start with the package
     imported instead of importing numpy and scipy again.  The package holds
-    no thread between calls (_sliced joins its own), so a worker inherits
+    no thread between calls (_on_threads joins its own), so a worker inherits
     none.
     """
     workers = min(tensor._cpu_count(), len(specs))
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
         return [_trial(spec) for spec in specs]
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
+        pool = multiprocessing.get_context("fork").Pool(workers, _trial_worker)
     except OSError:  # fork's EAGAIN or ENOMEM: no process to spare
         return [_trial(spec) for spec in specs]
     with pool:

@@ -25,31 +25,39 @@ in the process's affinity mask (``os.cpu_count()`` where the platform has
 no affinity call) where that measurably pays.  The mask is read by each
 split call (``_cpu_count``), so a mask narrowed after import
 (``os.sched_setaffinity``) is honoured; a CPU quota of the process's
-cgroup is not read.  The FFTs run on ``scipy.fft``'s own threads
-(``workers=``).  The SVD and the sketch of ``tsvd`` run through
-``_sliced``: it splits the leading axis of a stack into one contiguous
-chunk per CPU, runs the first chunk in the calling thread and each other
-one on a thread it starts and joins before it returns, and every chunk
-writes its own part of a preallocated output.
+cgroup is not read.  One rule, ``_parts``, decides how many threads share
+a kernel: one per CPU, at most one per independent piece, and one thread
+for a kernel of fewer than ``_PARALLEL_MIN`` elements.  The FFTs run on
+``scipy.fft``'s own threads (``workers=``).  The SVD and the sketch of
+``tsvd`` run through ``_sliced``, which splits the leading axis of a
+stack into one contiguous chunk per thread.  The Gaussian path splits two
+more kernels by the same rule: the map fill of ``rng.normal_fill``, in
+blocks of a fixed number of pairs, and the Gram product of
+``solve._gram``, in tiles of a fixed number of rows.  ``_on_threads`` runs
+every split kernel: the first task in the calling thread, every other one
+on a thread it starts and joins before it returns, and every task writes
+its own part of a preallocated output.
 The package holds no thread between calls, so a forked child (the
 ``lab`` trial workers, or a user's) inherits none.  Every other kernel is
-one numpy call on the whole stack.  Only stacks of at least
-``_PARALLEL_MIN`` elements are split (``_split``); below it the experiment
-drivers run whole trials on processes instead (see the ``lab`` module
-docstring).  Every transform and every chunk applies to each slice
-exactly the call the whole stack would get, so results are bitwise
-identical for any worker count; every decision that reads more than one
-slice stays in the calling thread.
+one numpy call on the whole array.  When no trial's half-spectrum stack
+is split (``_split``), the experiment drivers run whole trials on
+processes instead, and in a trial process the rule splits nothing
+(``_trial_process``; see the ``lab`` module docstring).  The pieces of a
+kernel are laid out from its size alone, and a piece computes the same
+bits on whichever thread runs it, so results are bitwise identical for any
+worker count; every decision that reads more than one slice stays in the
+calling thread.
 
 The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
 thread per call.  With OpenBLAS left at its default thread count, each
-chunk's LAPACK call starts threads of its own, the chunks compete for the
-CPUs, and the n=100 Table-2 row was slower than with the slices on one
-thread (see README).
+chunk's LAPACK or BLAS call starts threads of its own, the chunks compete
+for the CPUs, and the n=100 Table-2 row was slower than with the slices on
+one thread (see README).
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,36 +90,62 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# The smallest stack (in elements) that is split over the CPUs (the chunks
-# of `_sliced`, the threads of an FFT).  On 2 cores (medians of 3): a
-# 20x20x10 phase-completion grid of 8 trials (stacks of 6x20x20) took
-# 1.25 s on one thread and 2.65 s with a threshold of 2**10; at 2**15 it
-# stays on one thread, while the completion of 32 frames of 64x64 (stacks
-# of 17x64x64) drops from 5.10 to 3.34 s.
+# The smallest kernel (in elements) that is split over the CPUs (the chunks
+# of `_sliced`, the threads of an FFT, the blocks of a fill, the tiles of a
+# Gram product).  On 2 cores (medians of 3): a 20x20x10 phase-completion
+# grid of 8 trials (stacks of 6x20x20) took 1.25 s on one thread and
+# 2.65 s with a threshold of 2**10; at 2**15 it stays on one thread, while
+# the completion of 32 frames of 64x64 (stacks of 17x64x64) drops from 5.10
+# to 3.34 s.
 _PARALLEL_MIN = 2 ** 15
+
+# True in a lab trial worker process: there the trials are the one level of
+# parallelism, and no kernel is split.
+_trial_process = False
+
+
+def _parts(n: int, size: int) -> int:
+    """The threads that share a kernel of n independent pieces and size elements.
+
+    This is the package's one split rule: one thread per CPU, at most n,
+    and one thread when the kernel has fewer than _PARALLEL_MIN elements
+    or runs in a trial process.  The pieces of a split kernel are laid out
+    from its size alone, so the rule changes where a piece runs, never
+    what it computes.
+    """
+    if _trial_process or size < _PARALLEL_MIN:
+        return 1
+    return min(_cpu_count(), n)
+
+
+def _on_threads(tasks) -> None:
+    """Run every task() of the list: the first in the calling thread, each
+    other one on a thread started for it.
+
+    Every thread is joined before this returns, and an exception of any
+    task propagates.  A task never calls _sliced or _on_threads, and calls
+    no public function of the package, so a tracer that wraps those
+    (perfbench's) sees calls from the calling thread only.
+    """
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="tubal-slices") as pool:
+        rest = [pool.submit(task) for task in tasks[1:]]
+        tasks[0]()
+        for done in rest:
+            done.result()
 
 
 def _sliced(n: int, size: int, task) -> None:
     """Run task(lo, hi) over contiguous chunks [lo, hi) covering range(n).
 
-    One chunk per CPU, at most n; one chunk when the stack has fewer than
-    _PARALLEL_MIN elements (size).  The calling thread runs the first chunk
-    and a thread started for each other chunk runs that one; every thread
-    is joined before this returns, and an exception of any chunk
-    propagates.  A task writes only
-    its own part of its outputs, never calls _sliced, and calls no public
-    function of the package, so a tracer that wraps those (perfbench's)
-    sees calls from the calling thread only.
+    One chunk for each of the _parts(n, size) threads, run by _on_threads;
+    a task writes only its own part of its outputs.
     """
-    parts = min(_cpu_count(), n) if size >= _PARALLEL_MIN else 1
-    if parts <= 1:
-        task(0, n)
-        return
+    parts = _parts(n, size)
     edges = [n * i // parts for i in range(parts + 1)]
-    with ThreadPoolExecutor(parts - 1, thread_name_prefix="tubal-slices") as pool:
-        rest = pool.map(task, edges[1:-1], edges[2:])
-        task(edges[0], edges[1])
-        list(rest)
+    _on_threads([partial(task, lo, hi) for lo, hi in zip(edges, edges[1:])])
 
 
 def _require_tensor(a, name="tensor"):
@@ -357,6 +391,8 @@ def unvec(arr: np.ndarray, dims) -> np.ndarray:
     """Inverse of vec for the given (n1, n2, n3)."""
     arr = np.asarray(arr, dtype=float).reshape(-1)
     n1, n2, n3 = (_whole(v, "tensor dimension") for v in dims)
+    if min(n1, n2, n3) < 0:
+        raise EmptyTensor(f"tensor dimensions must not be negative, got {(n1, n2, n3)}")
     if arr.size != n1 * n2 * n3:
         raise LengthMismatch(f"expected {n1 * n2 * n3} values, got {arr.size}")
     return np.ascontiguousarray(arr.reshape((n1, n2, n3), order="F"))

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NegativeThreshold
+from .errors import InvalidParameter, NegativeThreshold, NonFiniteValues
 from .rng import substream
 from .tensor import (
     _irfft3,
@@ -382,11 +382,16 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
 
     The call takes the zero, truncated or full path of the module docstring
     and leaves its kept right vectors and spectrum in the state for the
-    next call.
+    next call.  It raises NonFiniteValues, before any SVD, when a Fourier
+    slice holds NaN or Inf, as a solver's iterate does once it overflows.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
-    if np.linalg.norm(f, axis=(1, 2)).max() <= tau:
+    norms = np.linalg.norm(f, axis=(1, 2))
+    # the norm of finite entries above about 1e154 overflows too
+    if not np.isfinite(norms).all() and not np.isfinite(f).all():
+        raise NonFiniteValues("SVT input overflowed: a Fourier slice holds NaN or Inf")
+    if norms.max() <= tau:
         return _zero(y, state, None)
     plan = _plan(f, tau, state)
     if plan is None and state.v is None and any(state.paths.values()):

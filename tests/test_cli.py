@@ -157,6 +157,13 @@ def test_info_nonfinite_tensor_is_usage_error(tmp_path):
     assert main(["info", str(path)]) == 2
 
 
+def test_complete_overflowing_iterate_is_usage_error(tmp_path):
+    # finite data whose solve overflows exits 2, not with a LinAlgError
+    tio.write_tensor(tmp_path / "big.t3", np.full((6, 6, 3), 1.7e308))
+    assert main(["complete", str(tmp_path / "big.t3"), "--p", "0.5", "--max-iter", "60",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_info_identity(tmp_path, capsys):
     tio.write_tensor(tmp_path / "i.t3", tb.identity(4, 3))
     assert main(["info", str(tmp_path / "i.t3")]) == 0

@@ -1,5 +1,6 @@
-"""Slice-parallel kernels and FFTs, trials on processes: chunking, error
-propagation, and results that do not depend on the worker count."""
+"""Slice-parallel kernels and FFTs, the split map fill and Gram product,
+trials on processes: chunking, error propagation, one level of
+parallelism, and results that do not depend on the worker count."""
 
 import dataclasses
 import errno
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import tubal as tb
-from tubal import lab, tensor
+from tubal import lab, rng, solve, tensor
 from tubal.errors import NonFiniteValues
 from tubal.solve import AdmmConfig
 
@@ -128,6 +129,85 @@ def test_completion_bitwise_for_any_worker_count(monkeypatch, dims, r, p):
     assert one == three
     if r is not None:
         assert min(one[1]["svt_paths"].values()) > 0
+
+
+def _fill_outputs(count, used):
+    """normal_fill of count deviates from a generator that drew `used`
+    uniforms first, and the generator's next five draws."""
+    gen = tb.substream(8, "fill", count)
+    gen.random(used)
+    out = tb.normal_fill(gen, count)
+    return out.tobytes(), gen.random(5).tobytes()
+
+
+@pytest.mark.parametrize("used", [0, 1])
+@pytest.mark.parametrize("count, block", [
+    (1001, 64), (2 * 64 * 3, 64), (2 * 64 * 3 - 1, 64),
+    (2 * rng._BLOCK + 3, rng._BLOCK),  # two blocks of the shipped size
+])
+def test_normal_fill_bitwise_for_any_cpu_count(monkeypatch, count, block, used):
+    monkeypatch.setattr(rng, "_BLOCK", 2 * count)  # one block: the serial fill on gen itself
+    serial = _fill_outputs(count, used)
+    monkeypatch.setattr(rng, "_BLOCK", block)
+    for cpus in (1, 2, 3):
+        assert _with_workers(monkeypatch, cpus, lambda: _fill_outputs(count, used)) == serial
+
+
+@pytest.mark.parametrize("m, d", [(70, 50), (30, 50)])  # direct and Woodbury
+def test_gram_triangle_bitwise_for_any_cpu_count(monkeypatch, m, d):
+    a = tb.make_gaussian_map(m, (d, 1, 1), seed=2).a
+    src = a if m < d else a.T
+    monkeypatch.setattr(solve, "_TILE", 16)
+    low = [np.tril(_with_workers(monkeypatch, cpus, lambda: solve._gram(src)))
+           for cpus in (1, 2, 3)]
+    assert low[0].tobytes() == low[1].tobytes() == low[2].tobytes()
+    exact = np.tril(src @ src.T)
+    assert np.abs(low[0] - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_normal_fill_of_another_bit_generator_is_serial(monkeypatch):
+    # a PCG64 stream cannot be moved ahead by a count of draws
+    def fill():
+        gen = np.random.Generator(np.random.PCG64(8))
+        return tb.normal_fill(gen, 1001), gen.random(5).tobytes()
+
+    monkeypatch.setattr(rng, "_BLOCK", 64)
+    out, after = _with_workers(monkeypatch, 2, fill)
+    u = np.random.Generator(np.random.PCG64(8)).random(1002)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:501]))
+    angle = 2.0 * np.pi * u[501:]
+    expected = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+    assert out.tobytes() == expected[:1001].tobytes()
+    gen = np.random.Generator(np.random.PCG64(8))
+    gen.random(1002)
+    assert after == gen.random(5).tobytes()
+
+
+def _gaussian_outputs(m, dims, seed):
+    x0 = tb.rand_low_tubal(*dims, 1, seed=seed)
+    gmap = tb.make_gaussian_map(m, dims, seed=seed + 1)
+    xhat, report = tb.solve_gaussian(gmap, tb.apply_map(gmap, x0),
+                                     AdmmConfig(record_history=True))
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name != "wall_time"}
+    return gmap.a.tobytes(), xhat.tobytes(), fields
+
+
+@pytest.mark.parametrize("m", [150, 60])  # direct and Woodbury, d = 108
+def test_gaussian_bitwise_for_any_worker_count(monkeypatch, m):
+    # small blocks and tiles, so that the map fill and the Gram are split
+    monkeypatch.setattr(rng, "_BLOCK", 256)
+    monkeypatch.setattr(solve, "_TILE", 16)
+    one = _with_workers(monkeypatch, 1, lambda: _gaussian_outputs(m, (6, 6, 3), seed=73))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = [_with_workers(monkeypatch, cpus, lambda: _gaussian_outputs(m, (6, 6, 3), seed=73))
+                for cpus in (2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == [one, one]
+    assert one[2]["converged"]
 
 
 def _split_svt():
@@ -274,6 +354,74 @@ def test_stacks_at_the_threshold_build_no_pool(monkeypatch):
     one, _ = _with_processes(monkeypatch, 1, grid)
     assert _with_processes(monkeypatch, 2, lambda: at(50)) == (one, [])
     assert _with_processes(monkeypatch, 2, lambda: at(51)) == (one, [2])
+
+
+def _guard_trial_processes(monkeypatch):
+    """Make a trial process that starts a thread, its own or scipy.fft's, raise."""
+    parent = os.getpid()
+    start, fft_workers = threading.Thread.start, tensor._fft_workers
+
+    def guarded_start(thread):
+        if os.getpid() != parent:
+            raise RuntimeError(f"thread {thread.name} started in a trial process")
+        start(thread)
+
+    def guarded_fft_workers(dims):
+        workers = fft_workers(dims)
+        if workers > 1 and os.getpid() != parent:
+            raise RuntimeError(f"FFT of {dims} on {workers} workers in a trial process")
+        return workers
+
+    monkeypatch.setattr(threading.Thread, "start", guarded_start)
+    monkeypatch.setattr(tensor, "_fft_workers", guarded_fft_workers)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_desk_grids_split_nothing_in_a_trial_process(monkeypatch):
+    # one level of parallelism: a trial on a worker process starts no thread
+    _guard_trial_processes(monkeypatch)
+
+    def desk_grids():  # the sizes of perfbench's cli_desk, with its Gaussian values
+        dof = [tb.dof(12, 12, 3, r) for r in (1, 2, 3)]
+        return (
+            tb.phase_grid("gaussian", (12, 12, 3), values=[dof[1] // 2, dof[1], 3 * dof[0] + 1,
+                                                           3 * dof[2] + 1],
+                          ranks=[1, 2, 3], trials=2, base_seed=6),
+            tb.phase_grid("completion", (20, 20, 10), values=[0.3, 0.6], ranks=[2, 4],
+                          trials=2, base_seed=7),
+        )
+
+    (gaussian, completion), built = _with_processes(monkeypatch, 2, desk_grids)
+    assert built == [2, 2]  # both grids ran on processes
+    assert max(gaussian.values) * 12 * 12 * 3 == 245376
+    assert all(not cell.errors for cell in gaussian.cells + completion.cells)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_trial_processes_split_no_fill_or_gram(monkeypatch):
+    # fills and Grams that the calling process splits stay whole in a trial
+    # process, and their trials still run on processes, as the parent's did
+    monkeypatch.setattr(rng, "_BLOCK", 256)
+    monkeypatch.setattr(solve, "_TILE", 16)
+    dims, m = (12, 12, 3), 200  # a stack of 288 values; a 200 x 432 map
+    split = []
+    on_threads = tensor._on_threads
+    monkeypatch.setattr(tensor, "_on_threads", lambda tasks: (split.append(len(tasks)),
+                                                              on_threads(tasks)))
+    _with_processes(monkeypatch, 2, lambda: tb.solve_gaussian(
+        tb.make_gaussian_map(m, dims, seed=1), np.zeros(m), AdmmConfig(max_iter=1)))
+    assert split.count(2) == 2  # the fill and the Gram, in the calling process
+
+    def grid():
+        return tb.phase_grid("gaussian", dims, values=[100, m], ranks=[1], trials=2,
+                             base_seed=9)
+
+    one, built = _with_processes(monkeypatch, 1, grid)
+    assert built == []
+    _guard_trial_processes(monkeypatch)
+    two, built = _with_processes(monkeypatch, 2, grid)
+    assert built == [2]
+    assert repr(two) == repr(one)
 
 
 def _eagain(*_, **__):

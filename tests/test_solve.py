@@ -15,6 +15,7 @@ from tubal.tsvd import _svt_freq
 
 # the package exports the function tsvd under the module's name
 tsvd_module = importlib.import_module("tubal.tsvd")
+solve_module = importlib.import_module("tubal.solve")
 
 RNG = np.random.default_rng(31337)
 
@@ -165,6 +166,28 @@ def test_solvers_reject_nonfinite_data():
     m_obs = np.where(mask.observed, 0.0, np.nan)
     _, report = tb.solve_completion(mask, m_obs)
     assert report.converged
+
+
+def test_overflowing_iterate_raises_nonfinite_values():
+    # finite data whose first SVT input overflows to inf
+    mask = tb.make_bernoulli_mask((6, 6, 3), 0.5, 0)
+    with pytest.raises(NonFiniteValues):
+        tb.solve_completion(mask, np.full((6, 6, 3), 1.7e308), AdmmConfig(max_iter=60))
+    gmap = tb.make_gaussian_map(200, (4, 4, 3), seed=0)
+    with pytest.raises(NonFiniteValues):
+        tb.solve_gaussian(gmap, np.full(200, 1.7e308), AdmmConfig(max_iter=60))
+
+
+def test_triangular_solves_match_cho_solve():
+    for m, d in ((90, 60), (40, 60)):  # the factors of the direct and Woodbury paths
+        a = tb.make_gaussian_map(m, (d, 1, 1), seed=m).a
+        gram = solve_module._gram(a if m < d else a.T)
+        gram[np.diag_indices_from(gram)] += 1.0
+        factor, _ = scipy.linalg.cho_factor(gram.T, overwrite_a=True, check_finite=False)
+        for b in RNG.standard_normal((3, min(m, d))):
+            oracle = scipy.linalg.cho_solve((factor, False), b, check_finite=False)
+            got = solve_module._cho_solve(factor, b)
+            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_gaussian_rejects_empty_tensor():

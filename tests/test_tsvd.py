@@ -182,11 +182,20 @@ def test_nonfinite_entries_rejected(call, value):
         call(_with_entry(value))
 
 
+def test_svt_of_entries_whose_slice_norm_overflows():
+    # finite entries whose squared slice norm is past the float range
+    a = _rand((4, 4, 2), 3)
+    x = tb.svt(1e300 * a, 0.5e300)
+    assert np.abs(x - 1e300 * tb.svt(a, 0.5)).max() <= 1e-12 * 1e300 * np.abs(a).max()
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: tb.tsvd(_rand((4, 3, 3), 1), "skinny", k=-1), InvalidParameter),
     (lambda: tb.tsvd(_rand((4, 3, 3), 1), "skinny", k=2.5), InvalidParameter),
     (lambda: tb.identity(2.5, 3), InvalidParameter),
     (lambda: tb.unvec(np.zeros(10), (2.5, 2, 2)), InvalidParameter),
+    (lambda: tb.unvec(np.arange(4.0), (-2, -2, 1)), EmptyTensor),
+    (lambda: tb.unvec(np.arange(4.0), (2, -2, -1)), EmptyTensor),
     (lambda: tb.column_basis(1.5, 4, 3), InvalidParameter),
     (lambda: tb.tube_basis(0, 2.5), InvalidParameter),
     (lambda: tb.unit_basis(0, 0, 0, (2, 2, 0)), EmptyTensor),
