@@ -12,8 +12,9 @@ one from a trial's dims.  When it splits the trial's half-spectrum stack,
 the trials run one after another, and each splits its kernels by the
 package's one rule (``tensor._parts``): the FFTs run on ``scipy.fft``
 threads, and the SVD, the sketch, the normal fills and a Gaussian trial's
-Gram product on threads that each split call starts and joins (see the
-``tensor`` module docstring).  Otherwise ``_run_trials`` runs the trials
+Gram product on slice threads, which a solve starts once and joins before
+it returns, and a split call outside a solve starts and joins itself (see
+the ``tensor`` module docstring).  Otherwise ``_run_trials`` runs the trials
 themselves on a fork-context ``multiprocessing.Pool`` of one process per
 CPU in the affinity mask, read at each call, and a worker splits no kernel
 (``tensor._trial_process``), so it starts no thread: a Gaussian trial
@@ -247,8 +248,8 @@ def _run_trials(specs) -> list:
 
     Workers are forked, not spawned, so they start with the package
     imported instead of importing numpy and scipy again.  The package holds
-    no thread between calls (_on_threads joins its own), so a worker inherits
-    none.
+    no thread between calls (a solve joins its slice threads before it
+    returns), so a worker inherits none.
     """
     workers = min(tensor._cpu_count(), len(specs))
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):

@@ -37,7 +37,19 @@ Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
 full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
 Omega, exactly in floating point, so the SVT input is the last x with
 b + dual/mu on Omega (b the observed data) and res_e is x's largest change
-off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).
+off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).  res_x and
+res_e are functions, so `_admm` forms them only once res_feas is at most
+eps, for a history row and at the cap.
+
+While every SVT call of a completion solve has returned zero, x = 0 and
+the dual is the sum of mu_j b over the past iterations j < k, so the SVT
+input at iteration k is c P_Omega(b), c = 1 + sum_{j<k} mu_j / mu_k, up to
+rounding.  That zero phase (`tsvd._ScaledZero`) takes the SVT's zero
+decisions from one FFT of P_Omega(b) and at most one SVD of it, scaled by
+c, and builds no input; a call that the scaled values cannot settle
+within their rounding bound runs the SVT on its exact input and ends the
+phase.  A zero call returns exact zeros either way, so results are
+bitwise those of the plain loop.
 
 Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),
 infinity-norm stopping criteria and one `tsvd._SvtState` per solve, through
@@ -58,7 +70,7 @@ from . import tensor
 from .errors import DimMismatch, InvalidSolverConfig
 from .sensing import GaussianMap, SampleMask, _check_mask_dims
 from .tensor import _require_finite, _require_nonempty, _whole, unvec, vec
-from .tsvd import _SvtState, _svt_freq
+from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 
 # Rows per Gram tile: the unit of the Gram product's split over the CPUs.
@@ -121,21 +133,26 @@ def _admm(cfg: AdmmConfig, step, t0: float):
     function of no arguments, called only when its value is needed: for a
     history row, when every other residual is at most cfg.eps (only then can
     the loop stop) and on the last iteration.  t0 is the solver's start
-    time.  Returns the last x and its SolverReport.
+    time.  The loop runs in one thread scope (`tensor._thread_scope`), so
+    the split kernels of the solve share one set of threads, joined before
+    this returns or raises.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
     svt_state = _SvtState()
-    for k in range(cfg.max_iter):
-        mu = _penalty(cfg, k)
-        x, objective, residuals = step(mu, svt_state)
-        ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
-        if ready or history is not None or k + 1 == cfg.max_iter:
-            residuals = {name: v() if callable(v) else v for name, v in residuals.items()}
-        if history is not None:
-            history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
-        converged = ready and all(v <= cfg.eps for v in residuals.values())
-        if converged:
-            break
+    with tensor._thread_scope():
+        for k in range(cfg.max_iter):
+            mu = _penalty(cfg, k)
+            x, objective, residuals = step(mu, svt_state)
+            ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
+            needed = ready or history is not None or k + 1 == cfg.max_iter
+            # unevaluated residuals are dropped with the arrays they hold
+            residuals = {name: v() if callable(v) else v
+                         for name, v in residuals.items()} if needed else None
+            if history is not None:
+                history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
+            converged = ready and all(v <= cfg.eps for v in residuals.values())
+            if converged:
+                break
     report = SolverReport(
         iterations=k + 1,
         converged=converged,
@@ -213,7 +230,9 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
             lam1 = lam1 + mu * feas
             return v - a.T @ q, float(np.abs(feas).max())
     else:
-        aty = a.T @ y
+        # an overflow here raises NonFiniteValues at the first SVT, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            aty = a.T @ y
         w = np.zeros(d)  # A^T lam1
 
         def solve_z(mu, v):
@@ -262,20 +281,33 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     x = np.zeros(mask.dims)
     dual = np.zeros(obs.size)
 
-    def step(mu, svt_state):
-        nonlocal x, dual
-        y = x.copy()  # the last x off Omega
+    def svt_input(x, dual, mu):  # x off Omega, b + dual/mu on Omega
+        y = x.copy()
         y.put(obs, b + dual / mu)
-        x_new, objective = _svt_freq(y, 1.0 / mu, svt_state)
+        return y
+
+    zero_phase = _ScaledZero(svt_input(x, dual, 1.0))  # base: P_Omega(b)
+    mu_sum = 0.0  # the penalties of the zero phase's iterations
+    feas0 = float(np.abs(b).max(initial=0.0))  # res_feas of a zero call, whose gap is b
+
+    def step(mu, svt_state):
+        nonlocal x, dual, zero_phase, mu_sum
+        if zero_phase is not None:
+            if zero_phase(1.0 + mu_sum / mu, 1.0 / mu, svt_state,
+                          partial(svt_input, x, dual, mu)):
+                mu_sum += mu
+                dual = dual + mu * b  # not in place: the call's exact input reads the old one
+                return x, 0.0, {"res_x": 0.0, "res_e": 0.0, "res_feas": feas0}
+            zero_phase = None
+        x_new, objective = _svt_freq(svt_input(x, dual, mu), 1.0 / mu, svt_state)
         gap = b - x_new.take(obs)
         dual += mu * gap
-        change = np.abs(x_new - x)
+        x_old, x = x, x_new
         residuals = {
-            "res_x": float(change.max()),
-            "res_e": float(change.take(unobs).max(initial=0.0)),
+            "res_x": lambda: float(np.abs(x_new - x_old).max()),
+            "res_e": lambda: float(np.abs(x_new.take(unobs) - x_old.take(unobs)).max(initial=0.0)),
             "res_feas": float(np.abs(gap).max(initial=0.0)),
         }
-        x = x_new
         return x, objective, residuals
 
     return _admm(cfg, step, t0)

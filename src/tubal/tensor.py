@@ -34,11 +34,15 @@ stack into one contiguous chunk per thread.  The Gaussian path splits two
 more kernels by the same rule: the map fill of ``rng.normal_fill``, in
 blocks of a fixed number of pairs, and the Gram product of
 ``solve._gram``, in tiles of a fixed number of rows.  ``_on_threads`` runs
-every split kernel: the first task in the calling thread, every other one
-on a thread it starts and joins before it returns, and every task writes
-its own part of a preallocated output.
-The package holds no thread between calls, so a forked child (the
-``lab`` trial workers, or a user's) inherits none.  Every other kernel is
+every split kernel: the first task in the calling thread and every other
+one on a thread of the open thread scope (``_thread_scope``), and every
+task writes its own part of a preallocated output.  ``solve._admm`` opens
+one scope for each solve: the first split call starts its threads, every
+later call of the solve reuses them, and they are joined when the solve
+returns or raises.  A split call outside a solve is a scope of its own.
+So threads live for one solve at most, and the package holds none
+between calls: a forked child (the ``lab`` trial workers, or a user's)
+inherits none.  Every other kernel is
 one numpy call on the whole array.  When no trial's half-spectrum stack
 is split (``_split``), the experiment drivers run whole trials on
 processes instead, and in a trial process the rule splits nothing
@@ -56,7 +60,9 @@ one thread (see README).
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from functools import partial
 from typing import NamedTuple
 
@@ -118,21 +124,55 @@ def _parts(n: int, size: int) -> int:
     return min(_cpu_count(), n)
 
 
+# The open thread scope of each calling thread: .pool is its executor, None
+# until a split call needs one; no attribute while no scope is open.
+_scope = threading.local()
+
+
+@contextmanager
+def _thread_scope():
+    """Let every split call inside the block share one set of threads.
+
+    The first split call that needs threads starts them, and they are joined
+    when the block exits, also when it raises.  Inside an open scope of the
+    same thread this opens none, so the outermost scope owns the threads.
+    """
+    if hasattr(_scope, "pool"):
+        yield
+        return
+    _scope.pool = None
+    try:
+        yield
+    finally:
+        pool = _scope.pool
+        del _scope.pool
+        if pool is not None:
+            pool.shutdown()
+
+
 def _on_threads(tasks) -> None:
     """Run every task() of the list: the first in the calling thread, each
-    other one on a thread started for it.
+    other one on a thread of the open thread scope, or of a scope of its own.
 
-    Every thread is joined before this returns, and an exception of any
-    task propagates.  A task never calls _sliced or _on_threads, and calls
-    no public function of the package, so a tracer that wraps those
-    (perfbench's) sees calls from the calling thread only.
+    Returns, or raises the exception of a task, only when every task has
+    ended.  The scope's threads are started by its first split call, one
+    per CPU but one; a later call with more tasks than threads queues the
+    rest.  A task never calls _sliced or _on_threads, and calls no public
+    function of the package, so a tracer that wraps those (perfbench's)
+    sees calls from the calling thread only.
     """
     if len(tasks) == 1:
         tasks[0]()
         return
-    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="tubal-slices") as pool:
-        rest = [pool.submit(task) for task in tasks[1:]]
-        tasks[0]()
+    with _thread_scope():
+        if _scope.pool is None:
+            _scope.pool = ThreadPoolExecutor(max(len(tasks), _cpu_count()) - 1,
+                                             thread_name_prefix="tubal-slices")
+        rest = [_scope.pool.submit(task) for task in tasks[1:]]
+        try:
+            tasks[0]()
+        finally:
+            wait(rest)
         for done in rest:
             done.result()
 

@@ -157,6 +157,7 @@ def test_info_nonfinite_tensor_is_usage_error(tmp_path):
     assert main(["info", str(path)]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_complete_overflowing_iterate_is_usage_error(tmp_path):
     # finite data whose solve overflows exits 2, not with a LinAlgError
     tio.write_tensor(tmp_path / "big.t3", np.full((6, 6, 3), 1.7e308))

@@ -1,6 +1,7 @@
 """Slice-parallel kernels and FFTs, the split map fill and Gram product,
-trials on processes: chunking, error propagation, one level of
-parallelism, and results that do not depend on the worker count."""
+the slice threads of a solve, trials on processes: chunking, error
+propagation, one level of parallelism, and results that do not depend on
+the worker count."""
 
 import dataclasses
 import errno
@@ -231,6 +232,79 @@ def test_no_slice_thread_outlives_its_call(monkeypatch):
     assert not [t for t in threading.enumerate() if t.name.startswith("tubal-slices")]
 
 
+def _count_thread_starts(monkeypatch):
+    """The names of the threads started from now on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_a_solve_starts_its_slice_threads_once(monkeypatch):
+    # the split calls of one solve share the threads the first one starts
+    split = []
+    on_threads = tensor._on_threads
+    monkeypatch.setattr(tensor, "_on_threads", lambda tasks: (split.append(len(tasks)),
+                                                              on_threads(tasks)))
+    started = _count_thread_starts(monkeypatch)
+    m_full = tb.rand_low_tubal(36, 36, 4, 2, seed=5, scale="inv_n")
+    mask = tb.make_bernoulli_mask(m_full.shape, 0.6, seed=6)
+    for _ in range(2):
+        _with_workers(monkeypatch, 3, lambda: tb.solve_completion(mask, m_full,
+                                                                  AdmmConfig(max_iter=80)))
+    assert len(split) > 20 and set(split) == {3}
+    assert len(started) == 4 and all(name.startswith("tubal-slices") for name in started)
+    assert not [t for t in threading.enumerate() if t.name.startswith("tubal-slices")]
+
+
+def test_a_solve_that_raises_leaves_no_thread(monkeypatch):
+    # the iterate overflows after the slice threads started
+    calls = []
+    svt_freq = solve._svt_freq
+
+    def overflowing(y, tau, state):
+        calls.append(tau)
+        if len(calls) == 5:
+            y = y.copy()
+            y[0, 0, 0] = np.inf
+        return svt_freq(y, tau, state)
+
+    monkeypatch.setattr(solve, "_svt_freq", overflowing)
+    started = _count_thread_starts(monkeypatch)
+    gen = np.random.default_rng(7)
+    mask = tb.make_bernoulli_mask((12, 12, 4), 0.9, seed=8)
+    with pytest.raises(NonFiniteValues):
+        _with_workers(monkeypatch, 3, lambda: tb.solve_completion(
+            mask, gen.standard_normal((12, 12, 4)), AdmmConfig(mu0=1.0)))
+    assert len(calls) == 5 and len(started) == 2
+    assert not [t for t in threading.enumerate() if t.name.startswith("tubal-slices")]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of two CPUs or more")
+def test_bitwise_with_the_affinity_mask_narrowed_to_one_cpu(monkeypatch):
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
+
+    def outputs():
+        return (_completion_outputs((36, 36, 4), 2, 0.6, seed=74),
+                _gaussian_outputs(150, (6, 6, 3), seed=75))
+
+    mask = os.sched_getaffinity(0)
+    wide = outputs()
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        assert tensor._cpu_count() == 1
+        narrow = outputs()
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert narrow == wide
+
+
 def test_affinity_narrowed_after_import_is_honoured(monkeypatch):
     monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -422,6 +496,25 @@ def test_trial_processes_split_no_fill_or_gram(monkeypatch):
     two, built = _with_processes(monkeypatch, 2, grid)
     assert built == [2]
     assert repr(two) == repr(one)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_completion_trial_on_a_worker_starts_no_thread(monkeypatch):
+    # every kernel splits in the calling process, but the trials run on
+    # processes, where a solve's thread scope starts no thread
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
+    monkeypatch.setattr(tensor, "_split", lambda dims: False)
+
+    def grid():
+        return tb.phase_grid("completion", (8, 8, 4), values=[0.5, 0.9], ranks=[1], trials=2,
+                             base_seed=11)
+
+    one, built = _with_processes(monkeypatch, 1, grid)
+    assert built == []
+    _guard_trial_processes(monkeypatch)
+    two, built = _with_processes(monkeypatch, 2, grid)
+    assert built == [2] and repr(two) == repr(one)
+    assert all(not cell.errors for cell in two.cells)
 
 
 def _eagain(*_, **__):

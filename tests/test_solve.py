@@ -168,6 +168,7 @@ def test_solvers_reject_nonfinite_data():
     assert report.converged
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_raises_nonfinite_values():
     # finite data whose first SVT input overflows to inf
     mask = tb.make_bernoulli_mask((6, 6, 3), 0.5, 0)
@@ -348,18 +349,40 @@ def _reference_solve_completion(mask, m_obs, cfg):
     return _admm(cfg, step, time.perf_counter())
 
 
+def _spy_zero_rule(monkeypatch):
+    """Record (scaled, result, spectrum read) for every call of tsvd._zero_rule;
+    scaled is True for the calls of the scaled zero phase."""
+    calls = []
+    rule = tsvd_module._zero_rule
+
+    def spy(top_norm, spectrum, shape, tau, state, slack=0.0, exact=None):
+        read = []
+        zero = rule(top_norm, lambda: read.append(1) or spectrum(), shape, tau, state, slack, exact)
+        calls.append((slack > 0, zero, bool(read)))
+        return zero
+
+    monkeypatch.setattr(tsvd_module, "_zero_rule", spy)
+    return calls
+
+
 @pytest.mark.parametrize("dims, r, p, settings", [
     ((64, 64, 32), 3, 0.5, {}),  # zero, truncated and full SVT calls
     ((20, 20, 5), 2, 1.0, {}),  # nothing unobserved
     ((12, 12, 4), None, 0.9, {}),  # full tubal rank
     ((20, 20, 5), 2, 0.7, {"max_iter": 3, "mu0": 1.0}),  # stopped at the cap, x nonzero
+    # a zero phase with singular-values-first zero calls, whose scaled
+    # spectrum the next call's plan reads (slices of at least _MIN_SIDE)
+    ((36, 36, 3), None, 0.5, {}),
 ])
 @pytest.mark.parametrize("record_history", [True, False])
-def test_completion_step_matches_slack_tensor_step(dims, r, p, settings, record_history):
+def test_completion_step_matches_slack_tensor_step(monkeypatch, dims, r, p, settings,
+                                                   record_history):
     m_full, mask = _completion_problem(dims, r, p, seed=71)
     m_obs = tb.proj_omega(mask, m_full)
     cfg = AdmmConfig(record_history=record_history, **settings)
+    calls = _spy_zero_rule(monkeypatch)
     x1, r1 = tb.solve_completion(mask, m_obs, cfg)
+    scaled = [call for call in calls if call[0]]
     x2, r2 = _reference_solve_completion(mask, m_obs, cfg)
     assert x1.tobytes() == x2.tobytes() and np.abs(x1).max() > 0
     fields = ("iterations", "converged", "residuals", "mu_final", "objective",
@@ -367,3 +390,26 @@ def test_completion_step_matches_slack_tensor_step(dims, r, p, settings, record_
     assert [getattr(r1, f) for f in fields] == [getattr(r2, f) for f in fields]
     if dims == (64, 64, 32):
         assert min(r1.svt_paths.values()) > 0
+    if dims == (36, 36, 3):
+        assert scaled.count((True, True, True)) >= 5
+
+
+@pytest.mark.parametrize("margin, settled_by", [
+    (0.5, "norm test"),  # the scaled norm lands inside the margin
+    (0.01, "values first"),  # the scaled top singular value does
+])
+def test_scaled_zero_inside_the_margin_runs_the_exact_call(monkeypatch, margin, settled_by):
+    # a scaled value within the margin of tau hands the call, and every
+    # later one, to _svt_freq on the exact input; results stay bitwise
+    m_full, mask = _completion_problem((36, 36, 3), None, 0.5, seed=71)
+    m_obs = tb.proj_omega(mask, m_full)
+    x1, r1 = tb.solve_completion(mask, m_obs)
+    monkeypatch.setattr(tsvd_module, "_SCALED_MARGIN", margin)
+    calls = _spy_zero_rule(monkeypatch)
+    x2, r2 = tb.solve_completion(mask, m_obs)
+    assert x2.tobytes() == x1.tobytes() and r2.svt_paths == r1.svt_paths
+    assert r2.iterations == r1.iterations and r2.residuals == r1.residuals
+    handed = [i for i, call in enumerate(calls) if call[0] and call[1] is None]
+    assert len(handed) == 1 and not any(call[0] for call in calls[handed[0] + 1:])
+    # the exact call is a zero call too, settled by the same test
+    assert calls[handed[0] + 1] == (False, True, settled_by == "values first")

@@ -376,3 +376,39 @@ def test_svt_stale_right_vectors(k_stale):
     state.v = np.linalg.qr(v)[0]
     _assert_matches_full_svt(y, tau / 1.1, state)
     assert sum(state.paths.values()) == 2
+
+
+def test_plan_of_a_spectrum_known_to_within_slack():
+    # one slice of 40 x 40: sigma_l / sigma_1 = 0.01 plans one power step
+    svals = np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01]])
+    shape = (1, 40, 40)
+    state = tsvd_module._SvtState()
+    state.leave(None, svals)
+    assert tsvd_module._plan(shape, 1.0, state) == (8, 1)
+
+    def never():
+        raise AssertionError("the exact spectrum was not needed")
+
+    # a slack too small to change the plan leaves the spectrum as it is
+    state.leave(None, svals, 1e-6, never)
+    assert tsvd_module._plan(shape, 1.0, state) == (8, 1) and state.slack == 1e-6
+    # sigma_1 within the slack of tau, or sigma_l / sigma_1 within it of a
+    # step boundary, needs the exact spectrum, which then replaces it
+    boundary = svals.copy()
+    boundary[0, 7] = 2.0 * 1e-8 ** (1 / 5)  # rho^5 = _STEP_TARGET: q = 1 or 2
+    for values, tau, slack in [(svals, 1.9, 0.2), (boundary, 1.0, 1e-3)]:
+        assert tsvd_module._plan_at(values, slack, tau, 8) is tsvd_module._UNSURE
+        exact = values * (1 + 1e-2)
+        state.leave(None, values, slack, lambda: exact)
+        plan = tsvd_module._plan(shape, tau, state)
+        assert state.svals is exact and state.slack == 0.0 and state.exact is None
+        state.leave(None, exact)
+        assert tsvd_module._plan(shape, tau, state) == plan
+
+
+def test_slice_norms_match_numpy():
+    f = tsvd_module._rfft3(_rand((9, 7, 6), 94))
+    norms = tsvd_module._slice_norms(f)
+    assert np.abs(norms - np.linalg.norm(f, axis=(1, 2))).max() <= 1e-14 * norms.max()
+    with np.errstate(all="raise"):  # an overflowing sum is inf, without a warning
+        assert np.isinf(tsvd_module._slice_norms(1e300 * f)).all()
