@@ -21,16 +21,20 @@ one of two paths chosen by its shape:
   A z = A v - (K - I) q = t + q, so A z - y = q - lam1/mu exactly.  Each
   iteration makes two passes over the map and one m x m solve.
 
-The Gram product (`_gram`) computes only the lower triangle, which is what
-the Cholesky factorisation reads, in tiles of `_TILE` rows written in
-place.  The tiles run on `tensor._parts` threads, and their layout depends
-on the matrix size alone, so the product is bitwise the same for any CPU
-count.  Each iteration solves with the factor U by two BLAS `dtrsv` calls,
-U^T t = b and then U z = t (`_cho_solve`).  `scipy.linalg.cho_solve` calls
-LAPACK `dpotrs`, whose one-column `dtrsm` took twice as long on 2 CPUs with
-one BLAS thread: 9-13 against 18-22 ms at d = 4500, and 1.4 against 2.7 ms
-at d = 2000.  Both read the whole factor once per triangle, so the solve is
-bound by memory bandwidth, and its result agrees with `cho_solve` to
+The system is held on one lower-triangular grid of tiles of `_TILE` rows
+(`_factor`): one Fortran panel per row of tiles, so that every tile is a
+contiguous Fortran block.  A k x k system takes about (k^2 + k * _TILE) / 2
+doubles instead of the k^2 of a dense array, of which LAPACK reads one
+triangle; with the m x d map, the Gaussian path holds m d + about d^2 / 2
+doubles.  The Gram writes every panel in place, and a right-looking tiled
+Cholesky factors the grid in place: dpotrf on each diagonal tile, dtrsm on
+the tiles below it, and dsyrk and dgemm on the tiles right of it.  The Gram
+panels, and the tiles of each factor step, run on `tensor._parts` threads.
+Their layout depends on the size alone, so the factor is bitwise the same
+for any CPU count.  Each iteration solves L L^T z = b (`_cho_solve`) with
+one dgemv and one dtrsv per panel and triangle.  That reads every tile once
+per triangle, as two dtrsv calls on a dense factor do, so the solve is
+bound by memory bandwidth; it agrees with `scipy.linalg.cho_solve` to
 rounding.
 
 Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
@@ -58,13 +62,15 @@ which each SVT call takes its cheapest path (see `tsvd`).
 At the iteration cap the report has converged=False and the last iterate.
 """
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dtrsv
+import scipy.linalg.cython_blas
+from scipy.linalg.blas import dgemv, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from . import tensor
 from .errors import DimMismatch, InvalidSolverConfig
@@ -73,11 +79,12 @@ from .tensor import _require_finite, _require_nonempty, _whole, unvec, vec
 from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 
-# Rows per Gram tile: the unit of the Gram product's split over the CPUs.
-# On 2 CPUs with one BLAS thread the d = 4500 Gram of the n=30 Table-1 row
-# took about 1.85 s as one `a.T @ a`, about as long in tiles on one thread
-# and 0.9-1.0 s on two.  A Gram of at most _TILE rows is one tile, the
-# single product the untiled code computed.
+# Rows per tile of the Gaussian system's grid (`_factor`): the unit of its
+# storage, of the Gram's and the factor's split over the CPUs, and of the
+# solves' BLAS calls.  At d = 4500 (the n=30 Table-1 row), on 2 CPUs with one
+# BLAS thread, the grid holds 93.9 MiB (154.5 MiB dense); the Gram and the
+# factor took 1.41 s in 1024-row tiles and 1.56 s in 512-row tiles, which
+# hold 8 MiB less (medians of 6).  A system of at most _TILE rows is one tile.
 _TILE = 1024
 
 
@@ -166,31 +173,157 @@ def _admm(cfg: AdmmConfig, step, t0: float):
     return x, report
 
 
-def _gram(src: np.ndarray) -> np.ndarray:
-    """src @ src.T, set in its lower triangle and its diagonal tiles only.
+# scipy.linalg.blas holds the GIL while BLAS runs, so tile tasks calling it
+# from threads would run one at a time.  `_blas` calls scipy's BLAS through
+# the function pointers of scipy.linalg.cython_blas with ctypes, which
+# releases the GIL for the call.  Every argument goes by pointer, as
+# Fortran takes it: a one-letter flag, an int, a float, or an array.
+_FLAG, _INT, _FLOAT = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                       ctypes.POINTER(ctypes.c_double))
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
-    Tile [lo, hi) holds rows lo..hi-1 up to column hi-1: one matmul for the
-    columns before lo and one for the diagonal block, which numpy computes
-    with dsyrk, both written in place.  The tiles run on tensor._parts
-    threads, dealt round-robin from the largest.
+
+def _pointer(kind, value):
+    if kind is _FLAG:
+        return value
+    if kind is _INT:
+        return ctypes.byref(ctypes.c_int(value))
+    if not isinstance(value, np.ndarray):
+        return ctypes.byref(ctypes.c_double(value))
+    if value.dtype != np.float64 or not value.flags.f_contiguous:
+        raise TypeError("BLAS takes Fortran-contiguous float64 arrays")
+    return value.ctypes.data_as(_FLOAT)
+
+
+def _blas(name: str, *kinds):
+    """scipy's BLAS routine name, taking arguments of the given kinds."""
+    capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
+    routine = ctypes.CFUNCTYPE(None, *kinds)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+    def call(*args):
+        routine(*(_pointer(kind, value) for kind, value in zip(kinds, args)))
+
+    return call
+
+
+_dtrsm = _blas("dtrsm", *[_FLAG] * 4, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT)
+_dsyrk = _blas("dsyrk", _FLAG, _FLAG, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _FLOAT, _INT)
+_dgemm = _blas("dgemm", _FLAG, _FLAG, _INT, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT,
+               _FLOAT, _FLOAT, _INT)
+
+
+def _lower_solve(diag: np.ndarray, t: np.ndarray) -> None:
+    """t = t diag^-T in place, for the lower triangle of diag (dtrsm)."""
+    _dtrsm(b"R", b"L", b"T", b"N", *t.shape, 1.0, diag, len(diag), t, len(t))
+
+
+def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
+    """c -= a b^T in place; b None: the lower triangle of c -= a a^T (dsyrk)."""
+    if b is None:
+        _dsyrk(b"L", b"N", len(c), a.shape[1], -1.0, a, len(a), 1.0, c, len(c))
+    else:
+        _dgemm(b"N", b"T", len(c), len(b), a.shape[1], -1.0, a, len(a), b, len(b), 1.0,
+               c, len(c))
+
+
+def _split(jobs, size: int) -> None:
+    """Run the (cost, task) jobs, each task() once, on tensor._parts threads.
+
+    Largest cost first, each job goes to the thread with the least cost so
+    far.  Every job writes its own tiles, so where it runs never changes
+    what it computes.
+    """
+    if not jobs:
+        return
+    parts = tensor._parts(len(jobs), size)
+    shares, loads = [[] for _ in range(parts)], [0] * parts
+    for cost, task in sorted(jobs, key=lambda job: -job[0]):
+        i = loads.index(min(loads))
+        shares[i].append(task)
+        loads[i] += cost
+    tensor._on_threads([partial(_run_each, share) for share in shares])
+
+
+def _run_each(tasks) -> None:
+    for task in tasks:
+        task()
+
+
+def _factor(src: np.ndarray) -> list:
+    """The lower Cholesky factor L of src @ src.T + I, as a tile grid.
+
+    The grid holds one Fortran panel per row of tiles: panel i is rows
+    lo..hi-1 of L up to column hi-1, and tile j of it, panel[:, lo_j:hi_j],
+    is a contiguous Fortran block, so BLAS and LAPACK work on every tile in
+    place.  The diagonal tile also holds an upper triangle that no call
+    reads.  A k x k system takes about (k^2 + k * _TILE) / 2 values.
+
+    The Gram writes each panel through its C-ordered transpose: one matmul
+    for the columns before lo, and one for the diagonal tile, which numpy
+    computes with dsyrk.  The factor is right-looking, one tile column j at
+    a time: dpotrf on the diagonal tile, dtrsm on each tile below it, then
+    each tile right of column j and on or below the diagonal subtracts its
+    product of two tiles of column j (dsyrk on the diagonal, dgemm off it).
+    The panels of the Gram, and the tiles of each dtrsm and update step,
+    are independent tasks run by `_split`; a step waits for the last.  The
+    tiles are laid out from k alone, and each tile takes its updates in
+    the order of the steps, so L is bitwise the same for any CPU count.
     """
     k = src.shape[0]
-    gram = np.empty((k, k))
-    tiles = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)][::-1]
+    edges = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)]
+    panels = [np.empty((hi - lo, hi), order="F") for lo, hi in edges]
 
-    def share(tiles):
-        for lo, hi in tiles:
-            np.matmul(src[lo:hi], src[:lo].T, out=gram[lo:hi, :lo])
-            np.matmul(src[lo:hi], src[lo:hi].T, out=gram[lo:hi, lo:hi])
+    def gram(lo, hi, out):
+        np.matmul(src[:lo], src[lo:hi].T, out=out[:lo])
+        np.matmul(src[lo:hi], src[lo:hi].T, out=out[lo:])
+        out[lo:].flat[:: hi - lo + 1] += 1.0
 
-    parts = tensor._parts(len(tiles), k * k)
-    tensor._on_threads([partial(share, tiles[i::parts]) for i in range(parts)])
-    return gram
+    def tile(i, j):
+        lo, hi = edges[j]
+        return panels[i][:, lo:hi]
+
+    with tensor._thread_scope():
+        _split([(panel.size, partial(gram, lo, hi, panel.T))
+                for (lo, hi), panel in zip(edges, panels)], k * k)
+        for j in range(len(edges)):
+            diag, info = dpotrf(tile(j, j), lower=1, clean=0, overwrite_a=1)
+            if info:
+                raise np.linalg.LinAlgError(f"tile {j} of the system is not positive definite")
+            below = range(j + 1, len(edges))
+            _split([(len(panels[i]), partial(_lower_solve, diag, tile(i, j)))
+                    for i in below], k * k)
+            _split([(len(panels[i]) * len(panels[c]) * (1 if c == i else 2),
+                     partial(_subtract, tile(i, c), tile(i, j), None if c == i else tile(c, j)))
+                    for i in below for c in range(j + 1, i + 1)], k * k)
+    return panels
 
 
-def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(U^T U)^-1 b for the upper Cholesky factor U: two BLAS dtrsv calls."""
-    return dtrsv(factor, dtrsv(factor, b, trans=1), overwrite_x=1)
+def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 b for the tile grid L of `_factor`.
+
+    L y = b row panel by row panel: one dgemv subtracts the panel's tiles
+    left of the diagonal, one dtrsv solves with its diagonal tile.  Then
+    L^T z = y from the last panel up: one dtrsv with the diagonal tile, one
+    transposed dgemv subtracts the result from every row above.  Each
+    triangle reads every tile once, in place.
+    """
+    z = b.copy()
+    for panel in panels:
+        hi = panel.shape[1]
+        lo = hi - panel.shape[0]
+        if lo:
+            dgemv(-1.0, panel[:, :lo], z[:lo], beta=1.0, y=z[lo:hi], overwrite_y=1)
+        dtrsv(panel[:, lo:], z[lo:hi], lower=1, overwrite_x=1)
+    for panel in reversed(panels):
+        hi = panel.shape[1]
+        lo = hi - panel.shape[0]
+        dtrsv(panel[:, lo:], z[lo:hi], lower=1, trans=1, overwrite_x=1)
+        if lo:
+            dgemv(-1.0, panel[:, :lo], z[lo:hi], beta=1.0, y=z[:lo], trans=1, overwrite_y=1)
+    return z
 
 
 def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = None):
@@ -212,11 +345,7 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     m, d = a.shape
     dims = gmap.dims
 
-    gram = _gram(a if m < d else a.T)
-    gram[np.diag_indices_from(gram)] += 1.0
-    # the transpose of gram is the Fortran-ordered view that LAPACK factors
-    # in place, reading its upper triangle: the lower triangle of gram
-    factor, _ = scipy.linalg.cho_factor(gram.T, overwrite_a=True, check_finite=False)
+    factor = _factor(a if m < d else a.T)
 
     # solve_z(mu, v) returns vec(z) and res_feas; on the direct path res_feas
     # is a function, because forming A z - y is a pass over the map
@@ -274,7 +403,7 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     _require_nonempty(mask.dims)
     t0 = time.perf_counter()
     obs = np.flatnonzero(mask.observed)
-    unobs = np.flatnonzero(~mask.observed)
+    unobserved = ~mask.observed
     b = np.asarray(m_obs, dtype=float).take(obs)
     _require_finite(b, "observed data")
 
@@ -282,8 +411,8 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     dual = np.zeros(obs.size)
 
     def svt_input(x, dual, mu):  # x off Omega, b + dual/mu on Omega
-        y = x.copy()
-        y.put(obs, b + dual / mu)
+        y = x.copy()  # C-ordered: its reshape is a view
+        y.reshape(-1)[obs] = b + dual / mu
         return y
 
     zero_phase = _ScaledZero(svt_input(x, dual, 1.0))  # base: P_Omega(b)
@@ -305,7 +434,7 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
         x_old, x = x, x_new
         residuals = {
             "res_x": lambda: float(np.abs(x_new - x_old).max()),
-            "res_e": lambda: float(np.abs(x_new.take(unobs) - x_old.take(unobs)).max(initial=0.0)),
+            "res_e": lambda: float(np.max(np.abs(x_new - x_old), where=unobserved, initial=0.0)),
             "res_feas": float(np.abs(gap).max(initial=0.0)),
         }
         return x, objective, residuals

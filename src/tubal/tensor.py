@@ -24,26 +24,29 @@ The Fourier slices are independent, and the work is split over the CPUs
 in the process's affinity mask (``os.cpu_count()`` where the platform has
 no affinity call) where that measurably pays.  The mask is read by each
 split call (``_cpu_count``), so a mask narrowed after import
-(``os.sched_setaffinity``) is honoured; a CPU quota of the process's
-cgroup is not read.  One rule, ``_parts``, decides how many threads share
-a kernel: one per CPU, at most one per independent piece, and one thread
-for a kernel of fewer than ``_PARALLEL_MIN`` elements.  The FFTs run on
+(``os.sched_setaffinity``) is honoured.  A cgroup-v2 CPU quota
+(``cpu.max`` at the root of the cgroup mount) caps the count at
+ceil(quota / period), read at each call as well.  One rule, ``_parts``,
+decides how many threads share a kernel: one per CPU, at most one per
+independent piece, and one thread for a kernel of fewer than
+``_PARALLEL_MIN`` elements.  The FFTs run on
 ``scipy.fft``'s own threads (``workers=``).  The SVD and the sketch of
 ``tsvd`` run through ``_sliced``, which splits the leading axis of a
-stack into one contiguous chunk per thread.  The Gaussian path splits two
-more kernels by the same rule: the map fill of ``rng.normal_fill``, in
-blocks of a fixed number of pairs, and the Gram product of
-``solve._gram``, in tiles of a fixed number of rows.  ``_on_threads`` runs
-every split kernel: the first task in the calling thread and every other
-one on a thread of the open thread scope (``_thread_scope``), and every
-task writes its own part of a preallocated output.  ``solve._admm`` opens
-one scope for each solve: the first split call starts its threads, every
-later call of the solve reuses them, and they are joined when the solve
-returns or raises.  A split call outside a solve is a scope of its own.
-So threads live for one solve at most, and the package holds none
-between calls: a forked child (the ``lab`` trial workers, or a user's)
-inherits none.  Every other kernel is
-one numpy call on the whole array.  When no trial's half-spectrum stack
+stack into one contiguous chunk per thread.  The Gaussian path splits
+three more kernels by the same rule: the map fill of ``rng.normal_fill``,
+in blocks of a fixed number of pairs, and the Gram product and the
+Cholesky factor of ``solve._factor``, in tiles of a fixed number of rows.
+``_on_threads`` runs every split kernel: the first task in the calling
+thread and every other one on a thread of the open thread scope
+(``_thread_scope``), and every task writes its own part of a
+preallocated output.  ``solve._admm`` opens one scope for each solve, and
+``solve._factor`` one for a Gram and its factor: the first split call
+starts its threads, every later call in the scope reuses them, and they
+are joined when the scope returns or raises.  A split call outside a scope
+is a scope of its own.  So threads live for one solve at most, and the
+package holds none between calls: a forked child (the ``lab`` trial
+workers, or a user's) inherits none.  Every other kernel is one numpy call
+on the whole array.  When no trial's half-spectrum stack
 is split (``_split``), the experiment drivers run whole trials on
 processes instead, and in a trial process the rule splits nothing
 (``_trial_process``; see the ``lab`` module docstring).  The pieces of a
@@ -52,11 +55,13 @@ bits on whichever thread runs it, so results are bitwise identical for any
 worker count; every decision that reads more than one slice stays in the
 calling thread.
 
-The speed-ups recorded in CHANGES.md were measured on 2 CPUs with one BLAS
-thread per call.  With OpenBLAS left at its default thread count, each
-chunk's LAPACK or BLAS call starts threads of its own, the chunks compete
-for the CPUs, and the n=100 Table-2 row was slower than with the slices on
-one thread (see README).
+The supported setting is one BLAS thread per call,
+``OPENBLAS_NUM_THREADS=1`` (the benchmark sets it): every split kernel
+assumes it, and the speed-ups recorded in CHANGES.md were measured with it
+on 2 CPUs.  With OpenBLAS left at its default thread count, each piece's
+LAPACK or BLAS call starts threads of its own, the pieces compete for the
+CPUs, and the n=100 Table-2 row and demo 05's phase grid run slower than
+with one BLAS thread (see README).
 """
 
 import os
@@ -88,12 +93,35 @@ IMAG_TOL = 1e-8
 _ORACLE_SIDE_LIMIT = 512
 
 
-def _cpu_count() -> int:
-    """The CPUs in the process's affinity mask, read at each call."""
+# The CPU limit of a cgroup v2: "quota period" in microseconds, or "max
+# period" for none.  At the root of the cgroup mount it is the process's own
+# cgroup when the process has a cgroup namespace of its own (a container's).
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _read_cpu_max() -> str:
+    """The text of _CPU_MAX, or "max" where there is no such file."""
     try:
-        return len(os.sched_getaffinity(0))
+        with open(_CPU_MAX) as fh:
+            return fh.read()
+    except OSError:
+        return "max"
+
+
+def _cpu_count() -> int:
+    """The CPUs in the process's affinity mask, capped by the CPU quota of
+    its cgroup, ceil(quota / period); both are read at each call."""
+    try:
+        count = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        count = os.cpu_count() or 1
+    quota, _, period = _read_cpu_max().partition(" ")
+    if quota != "max":
+        try:
+            count = min(count, max(1, -(-int(quota) // int(period))))
+        except (ValueError, ZeroDivisionError):  # not a quota: no cap
+            pass
+    return count
 
 
 # The smallest kernel (in elements) that is split over the CPUs (the chunks

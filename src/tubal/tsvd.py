@@ -483,6 +483,7 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
         factors = _svd(f)
         path = "full"
     state.paths[path] += 1
+    del f  # the rebuild does not read F: free it first
     u, s, vh = factors
     k = int((s > tau).sum(axis=1).max())
     state.leave(vh[:, :k].conj().transpose(0, 2, 1) if k else None, s)

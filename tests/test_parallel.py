@@ -156,14 +156,21 @@ def test_normal_fill_bitwise_for_any_cpu_count(monkeypatch, count, block, used):
 
 @pytest.mark.parametrize("m, d", [(70, 50), (30, 50)])  # direct and Woodbury
 def test_gram_triangle_bitwise_for_any_cpu_count(monkeypatch, m, d):
+    # the Gram and its Cholesky factor, on the tile grid
     a = tb.make_gaussian_map(m, (d, 1, 1), seed=2).a
     src = a if m < d else a.T
     monkeypatch.setattr(solve, "_TILE", 16)
-    low = [np.tril(_with_workers(monkeypatch, cpus, lambda: solve._gram(src)))
-           for cpus in (1, 2, 3)]
-    assert low[0].tobytes() == low[1].tobytes() == low[2].tobytes()
-    exact = np.tril(src @ src.T)
-    assert np.abs(low[0] - exact).max() <= 1e-14 * np.abs(exact).max()
+    grids = [_with_workers(monkeypatch, cpus, lambda: solve._factor(src)) for cpus in (1, 2, 3)]
+    one, two, three = (b"".join(panel.tobytes(order="A") for panel in grid) for grid in grids)
+    assert one == two == three
+    k = len(src)
+    low = np.zeros((k, k))
+    for panel in grids[0]:
+        hi = panel.shape[1]
+        low[hi - len(panel):hi, :hi] = panel
+    low = np.tril(low)
+    exact = src @ src.T + np.eye(k)
+    assert np.abs(low @ low.T - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
 def test_normal_fill_of_another_bit_generator_is_serial(monkeypatch):
@@ -311,6 +318,17 @@ def test_affinity_narrowed_after_import_is_honoured(monkeypatch):
     seen = []
     tensor._sliced(9, 9, lambda lo, hi: seen.append((lo, hi)))
     assert sorted(seen) == [(0, 3), (3, 6), (6, 9)]
+
+
+@pytest.mark.parametrize("cpu_max, count", [
+    ("100000 100000\n", 1), ("150000 100000\n", 2), ("max 100000\n", 3), (None, 3)])
+def test_a_cgroup_cpu_quota_caps_the_count(monkeypatch, tmp_path, cpu_max, count):
+    # None: no cpu.max file, as without a cgroup v2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(tensor, "_CPU_MAX", str(tmp_path / "cpu.max"))
+    if cpu_max is not None:
+        (tmp_path / "cpu.max").write_text(cpu_max)
+    assert tensor._cpu_count() == count
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -484,7 +502,7 @@ def test_trial_processes_split_no_fill_or_gram(monkeypatch):
                                                               on_threads(tasks)))
     _with_processes(monkeypatch, 2, lambda: tb.solve_gaussian(
         tb.make_gaussian_map(m, dims, seed=1), np.zeros(m), AdmmConfig(max_iter=1)))
-    assert split.count(2) == 2  # the fill and the Gram, in the calling process
+    assert split.count(2) >= 3  # the fill, the Gram and the factor's steps, in the calling process
 
     def grid():
         return tb.phase_grid("gaussian", dims, values=[100, m], ranks=[1], trials=2,

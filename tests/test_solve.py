@@ -2,6 +2,7 @@
 
 import importlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,16 +180,48 @@ def test_overflowing_iterate_raises_nonfinite_values():
         tb.solve_gaussian(gmap, np.full(200, 1.7e308), AdmmConfig(max_iter=60))
 
 
-def test_triangular_solves_match_cho_solve():
-    for m, d in ((90, 60), (40, 60)):  # the factors of the direct and Woodbury paths
-        a = tb.make_gaussian_map(m, (d, 1, 1), seed=m).a
-        gram = solve_module._gram(a if m < d else a.T)
-        gram[np.diag_indices_from(gram)] += 1.0
-        factor, _ = scipy.linalg.cho_factor(gram.T, overwrite_a=True, check_finite=False)
-        for b in RNG.standard_normal((3, min(m, d))):
-            oracle = scipy.linalg.cho_solve((factor, False), b, check_finite=False)
-            got = solve_module._cho_solve(factor, b)
-            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+def test_triangular_solves_match_cho_solve(monkeypatch):
+    # the tile grid's factor and solves against LAPACK on the dense system:
+    # one tile, one short or full tile, a tile and a row, two tiles and three rows
+    tile = 8
+    monkeypatch.setattr(solve_module, "_TILE", tile)
+    for k in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+        for m, d in ((k + 3, k), (k, k + 3)):  # the systems of the direct and Woodbury paths
+            a = tb.make_gaussian_map(m, (d, 1, 1), seed=k).a
+            src = a if m < d else a.T
+            dense = scipy.linalg.cho_factor(src @ src.T + np.eye(k))
+            factor = solve_module._factor(src)
+            for b in RNG.standard_normal((3, k)):
+                oracle = scipy.linalg.cho_solve(dense, b)
+                got = solve_module._cho_solve(factor, b)
+                assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_tile_blas_takes_only_fortran_float_arrays():
+    # the ctypes BLAS calls read raw pointers: a C-ordered or integer tile is refused
+    good = np.asfortranarray(RNG.standard_normal((4, 3)))
+    c = np.zeros((4, 4), order="F")
+    solve_module._subtract(c, good, None)
+    assert np.allclose(np.tril(c), np.tril(-good @ good.T))
+    for bad in (np.ascontiguousarray(good), np.asfortranarray(good.astype(np.int64))):
+        with pytest.raises(TypeError):
+            solve_module._subtract(c, bad, good)
+
+
+def test_factor_holds_half_the_system(monkeypatch):
+    # the grid of a k x k system, k = 3T, holds (k^2 + k T) / 2 doubles, and
+    # no step copies a tile
+    tile = 128
+    monkeypatch.setattr(solve_module, "_TILE", tile)
+    k = 3 * tile
+    src = tb.make_gaussian_map(k + 10, (k, 1, 1), seed=4).a.T
+    tracemalloc.start()
+    try:
+        solve_module._factor(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * (k * k + k * tile) / 2
 
 
 def test_gaussian_rejects_empty_tensor():

@@ -301,6 +301,29 @@ def test_stateful_svt_matches_full_svt(n1, n2, n3, r, log_noise, frac, seed):
     assert sum(state.paths.values()) == 4
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the truncated path's certificate covers only the kept "
+                   "triplets, so a discarded value above tau can pass it")
+def test_truncated_svt_keeps_a_value_just_above_tau():
+    # a 64x60 slice with a dense tail just under tau: after two calls that
+    # keep rank 3, the third input has a fourth value just above tau, which
+    # the full SVD keeps; the warm sketch drops it (relative error 3.4e-4)
+    gen = np.random.default_rng(0)
+    u = np.linalg.qr(gen.standard_normal((64, 64)))[0]
+    v = np.linalg.qr(gen.standard_normal((60, 60)))[0]
+
+    def slice_with(head, tail):
+        s = np.zeros(60)
+        s[:48] = head + [tail] * 44
+        return ((u[:, :60] * s) @ v.T)[:, :, None]
+
+    state = tsvd_module._SvtState()
+    first = slice_with([10, 8, 6, 0.3], 0.3 * 0.838)
+    tsvd_module._svt_freq(first, 3.0, state)
+    tsvd_module._svt_freq(first, 0.5, state)
+    _assert_matches_full_svt(slice_with([10, 8, 6, 1.0042], 0.838), 1.0, state)
+
+
 def test_svt_zero_path_is_exact():
     y = _rand((40, 36, 4), 90)
     # each Fourier slice's Frobenius norm is at most sqrt(n3) * ||y||_F
