@@ -10,11 +10,11 @@ That independence is also what lets the drivers run trials in parallel.
 The package has two levels of parallelism, and ``tensor._split`` picks
 one from a trial's dims.  When it splits the trial's half-spectrum stack,
 the trials run one after another, and each splits its kernels by the
-package's one rule (``tensor._parts``): the FFTs run on ``scipy.fft``
-threads, and the SVD, the sketch, the normal fills and a Gaussian trial's
-Gram product on slice threads, which a solve starts once and joins before
-it returns, and a split call outside a solve starts and joins itself (see
-the ``tensor`` module docstring).  Otherwise ``_run_trials`` runs the trials
+package's one rule (``tensor._parts``): the FFTs, the SVD, the sketch,
+the normal fills and a Gaussian trial's Gram product run on slice
+threads, which a solve starts once and joins before it returns, and a
+split call outside a solve starts and joins itself (see the ``tensor``
+module docstring).  Otherwise ``_run_trials`` runs the trials
 themselves on a fork-context ``multiprocessing.Pool`` of one process per
 CPU in the affinity mask, read at each call, and a worker splits no kernel
 (``tensor._trial_process``), so it starts no thread: a Gaussian trial
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
+from . import solve, tensor
 from .errors import (
     DimMismatch,
     InvalidEpsilon,
@@ -247,13 +247,17 @@ def _run_trials(specs) -> list:
     type and message from the first spec that raised it.
 
     Workers are forked, not spawned, so they start with the package
-    imported instead of importing numpy and scipy again.  The package holds
-    no thread between calls (a solve joins its slice threads before it
-    returns), so a worker inherits none.
+    imported instead of importing numpy again.  Before it forks workers
+    for Gaussian trials, this imports scipy.linalg (solve._linalg), which
+    only the Gaussian path uses, so the workers inherit it too.  The
+    package holds no thread between calls (a solve joins its slice threads
+    before it returns), so a worker inherits none.
     """
     workers = min(tensor._cpu_count(), len(specs))
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
         return [_trial(spec) for spec in specs]
+    if any(spec[0] == "gaussian" for spec in specs):
+        solve._linalg()  # imported once here, not in every worker
     try:
         pool = multiprocessing.get_context("fork").Pool(workers, _trial_worker)
     except OSError:  # fork's EAGAIN or ENOMEM: no process to spare

@@ -5,21 +5,24 @@ y = A vec(x) by splitting the variable (x = z) and alternating a
 singular-value-thresholding step with a linear solve against (A^T A + I).
 `solve_completion` recovers a tensor from its entries on the mask Omega.
 
-The Gaussian z-update solves (A^T A + I) z = A^T t + v, with
-t = y - lam1/mu and v = vec(lam2)/mu + vec(x), and then sets
-lam1 += mu (A z - y).  The map A is m x d; the system is factored once, on
-one of two paths chosen by its shape:
+The Gaussian z-update of scaled ADMM solves (A^T A + I) z = A^T t + v,
+with t = y - lam1/mu and v = vec(lam2)/mu + vec(x), and then sets
+lam1 += mu (A z - y).  That dual needs no storage: A^T lam1 starts at
+zero, and after each iteration A^T lam1 + mu (A^T A z - A^T y) =
+lam2 + mu (x - z) = vec(lam2) of the next iteration, so A^T t + v =
+A^T y + vec(x) exactly, and z depends on x alone.  The solver keeps no
+lam1, and every iteration whose SVT call returned zero (x = 0) reuses the
+z of the first.  The map A is m x d; the system is factored once, on one
+of two paths chosen by its shape:
 
-- m >= d (direct): Cholesky of A^T A + I.  The solver carries
-  w = A^T lam1 in place of lam1, so rhs = A^T y - w/mu + v with A^T y formed
-  once.  The system itself gives A^T A z = rhs - z, so the dual step is
-  w += mu (rhs - z - A^T y), with no pass over the map.  The m-vector
-  A z - y is needed only for the residual res_feas, which `_admm`
-  evaluates only when its value is used.
+- m >= d (direct): Cholesky of A^T A + I, and z = (A^T A + I)^-1
+  (A^T y + vec(x)) with A^T y formed once, so the iterations make no pass
+  over the map.  The m-vector A z - y is needed only for the residual
+  res_feas, which `_admm` evaluates only when its value is used.
 - m < d (Woodbury): with K = I + A A^T, (A^T A + I)^-1 = I - A^T K^-1 A
-  gives z = v - A^T q for q = K^-1 (A v - t), and then
-  A z = A v - (K - I) q = t + q, so A z - y = q - lam1/mu exactly.  Each
-  iteration makes two passes over the map and one m x m solve.
+  gives z = x - A^T q for q = K^-1 (A x - y), and then
+  A z - y = (A x - y) - (K - I) q = q exactly.  Each iteration makes two
+  passes over the map and one m x m solve.
 
 The system is held on one lower-triangular grid of tiles of `_TILE` rows
 (`_factor`): one Fortran panel per row of tiles, so that every tile is a
@@ -35,7 +38,9 @@ for any CPU count.  Each iteration solves L L^T z = b (`_cho_solve`) with
 one dgemv and one dtrsv per panel and triangle.  That reads every tile once
 per triangle, as two dtrsv calls on a dense factor do, so the solve is
 bound by memory bandwidth; it agrees with `scipy.linalg.cho_solve` to
-rounding.
+rounding.  These BLAS and LAPACK routines are scipy's, and `_linalg`
+imports scipy.linalg at the first Gaussian solve: no other path of the
+package uses scipy.
 
 Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
 full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
@@ -57,7 +62,9 @@ bitwise those of the plain loop.
 
 Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),
 infinity-norm stopping criteria and one `tsvd._SvtState` per solve, through
-which each SVT call takes its cheapest path (see `tsvd`).
+which each SVT call takes its cheapest path (see `tsvd`).  Each solver runs
+in one thread scope (`tensor._thread_scope`), set-up included, so all its
+split kernels, the FFTs among them, share one set of threads.
 `SolverReport.svt_paths` counts the calls per path; no CLI file holds it.
 At the iteration cap the report has converged=False and the last iterate.
 """
@@ -65,12 +72,10 @@ At the iteration cap the report has converged=False and the last iterate.
 import ctypes
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg.cython_blas
-from scipy.linalg.blas import dgemv, dtrsv
-from scipy.linalg.lapack import dpotrf
 
 from . import tensor
 from .errors import DimMismatch, InvalidSolverConfig
@@ -140,26 +145,23 @@ def _admm(cfg: AdmmConfig, step, t0: float):
     function of no arguments, called only when its value is needed: for a
     history row, when every other residual is at most cfg.eps (only then can
     the loop stop) and on the last iteration.  t0 is the solver's start
-    time.  The loop runs in one thread scope (`tensor._thread_scope`), so
-    the split kernels of the solve share one set of threads, joined before
-    this returns or raises.  Returns the last x and its SolverReport.
+    time.  Returns the last x and its SolverReport.
     """
     history = [] if cfg.record_history else None
     svt_state = _SvtState()
-    with tensor._thread_scope():
-        for k in range(cfg.max_iter):
-            mu = _penalty(cfg, k)
-            x, objective, residuals = step(mu, svt_state)
-            ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
-            needed = ready or history is not None or k + 1 == cfg.max_iter
-            # unevaluated residuals are dropped with the arrays they hold
-            residuals = {name: v() if callable(v) else v
-                         for name, v in residuals.items()} if needed else None
-            if history is not None:
-                history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
-            converged = ready and all(v <= cfg.eps for v in residuals.values())
-            if converged:
-                break
+    for k in range(cfg.max_iter):
+        mu = _penalty(cfg, k)
+        x, objective, residuals = step(mu, svt_state)
+        ready = all(v <= cfg.eps for v in residuals.values() if not callable(v))
+        needed = ready or history is not None or k + 1 == cfg.max_iter
+        # unevaluated residuals are dropped with the arrays they hold
+        residuals = {name: v() if callable(v) else v
+                     for name, v in residuals.items()} if needed else None
+        if history is not None:
+            history.append({"iter": k + 1, "objective": objective, **residuals, "mu": mu})
+        converged = ready and all(v <= cfg.eps for v in residuals.values())
+        if converged:
+            break
     report = SolverReport(
         iterations=k + 1,
         converged=converged,
@@ -174,9 +176,9 @@ def _admm(cfg: AdmmConfig, step, t0: float):
 
 
 # scipy.linalg.blas holds the GIL while BLAS runs, so tile tasks calling it
-# from threads would run one at a time.  `_blas` calls scipy's BLAS through
-# the function pointers of scipy.linalg.cython_blas with ctypes, which
-# releases the GIL for the call.  Every argument goes by pointer, as
+# from threads would run one at a time.  `_linalg` wraps scipy's BLAS
+# through the function pointers of scipy.linalg.cython_blas with ctypes,
+# which releases the GIL for the call.  Every argument goes by pointer, as
 # Fortran takes it: a one-letter flag, an int, a float, or an array.
 _FLAG, _INT, _FLOAT = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
                        ctypes.POINTER(ctypes.c_double))
@@ -198,35 +200,52 @@ def _pointer(kind, value):
     return value.ctypes.data_as(_FLOAT)
 
 
-def _blas(name: str, *kinds):
-    """scipy's BLAS routine name, taking arguments of the given kinds."""
-    capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
-    routine = ctypes.CFUNCTYPE(None, *kinds)(_capsule_pointer(capsule, _capsule_name(capsule)))
+@cache
+def _linalg() -> SimpleNamespace:
+    """The BLAS and LAPACK routines of the Gaussian path, imported from
+    scipy.linalg at the first call: dtrsm, dsyrk and dgemm through ctypes,
+    dgemv, dtrsv and dpotrf as scipy's wrappers.
 
-    def call(*args):
-        routine(*(_pointer(kind, value) for kind, value in zip(kinds, args)))
+    Only the Gaussian path uses scipy, so a process that never solves a
+    Gaussian system never imports it.  `solve_gaussian` calls this in the
+    calling thread before any tile task, and `lab._run_trials` before it
+    forks Gaussian trial workers, which then inherit the routines.
+    """
+    import scipy.linalg.cython_blas
+    from scipy.linalg.blas import dgemv, dtrsv
+    from scipy.linalg.lapack import dpotrf
 
-    return call
+    def blas(name, *kinds):
+        capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
+        routine = ctypes.CFUNCTYPE(None, *kinds)(
+            _capsule_pointer(capsule, _capsule_name(capsule)))
 
+        def call(*args):
+            routine(*(_pointer(kind, value) for kind, value in zip(kinds, args)))
 
-_dtrsm = _blas("dtrsm", *[_FLAG] * 4, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT)
-_dsyrk = _blas("dsyrk", _FLAG, _FLAG, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _FLOAT, _INT)
-_dgemm = _blas("dgemm", _FLAG, _FLAG, _INT, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT,
-               _FLOAT, _FLOAT, _INT)
+        return call
+
+    return SimpleNamespace(
+        dtrsm=blas("dtrsm", *[_FLAG] * 4, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT),
+        dsyrk=blas("dsyrk", _FLAG, _FLAG, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _FLOAT,
+                   _INT),
+        dgemm=blas("dgemm", _FLAG, _FLAG, _INT, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT,
+                   _FLOAT, _FLOAT, _INT),
+        dgemv=dgemv, dtrsv=dtrsv, dpotrf=dpotrf)
 
 
 def _lower_solve(diag: np.ndarray, t: np.ndarray) -> None:
     """t = t diag^-T in place, for the lower triangle of diag (dtrsm)."""
-    _dtrsm(b"R", b"L", b"T", b"N", *t.shape, 1.0, diag, len(diag), t, len(t))
+    _linalg().dtrsm(b"R", b"L", b"T", b"N", *t.shape, 1.0, diag, len(diag), t, len(t))
 
 
 def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
     """c -= a b^T in place; b None: the lower triangle of c -= a a^T (dsyrk)."""
     if b is None:
-        _dsyrk(b"L", b"N", len(c), a.shape[1], -1.0, a, len(a), 1.0, c, len(c))
+        _linalg().dsyrk(b"L", b"N", len(c), a.shape[1], -1.0, a, len(a), 1.0, c, len(c))
     else:
-        _dgemm(b"N", b"T", len(c), len(b), a.shape[1], -1.0, a, len(a), b, len(b), 1.0,
-               c, len(c))
+        _linalg().dgemm(b"N", b"T", len(c), len(b), a.shape[1], -1.0, a, len(a), b, len(b),
+                        1.0, c, len(c))
 
 
 def _split(jobs, size: int) -> None:
@@ -272,6 +291,7 @@ def _factor(src: np.ndarray) -> list:
     tiles are laid out from k alone, and each tile takes its updates in
     the order of the steps, so L is bitwise the same for any CPU count.
     """
+    dpotrf = _linalg().dpotrf
     k = src.shape[0]
     edges = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)]
     panels = [np.empty((hi - lo, hi), order="F") for lo, hi in edges]
@@ -310,6 +330,8 @@ def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
     transposed dgemv subtracts the result from every row above.  Each
     triangle reads every tile once, in place.
     """
+    linalg = _linalg()
+    dgemv, dtrsv = linalg.dgemv, linalg.dtrsv
     z = b.copy()
     for panel in panels:
         hi = panel.shape[1]
@@ -326,13 +348,15 @@ def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
     return z
 
 
+@tensor._thread_scope()
 def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to A vec(x) = y.
 
-    Returns (x_hat, report).  The z-update solves (A^T A + I) z = rhs with a
-    Cholesky factor formed once: of A^T A + I when m >= d, whose iterations
-    then never touch the map, and of I + A A^T (Woodbury) when m < d, whose
-    iterations make two passes over it.  See the module docstring.
+    Returns (x_hat, report).  The z-update solves (A^T A + I) z = A^T y + x
+    with a Cholesky factor formed once: of A^T A + I when m >= d, whose
+    iterations then never touch the map, and of I + A A^T (Woodbury) when
+    m < d, whose iterations make two passes over it.  See the module
+    docstring.
     """
     cfg = cfg or AdmmConfig()
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -341,44 +365,42 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     _require_nonempty(gmap.dims)
     _require_finite(y, "measurement vector y")
     t0 = time.perf_counter()
+    _linalg()  # in the calling thread, before any tile task
     a = gmap.a
     m, d = a.shape
     dims = gmap.dims
 
     factor = _factor(a if m < d else a.T)
 
-    # solve_z(mu, v) returns vec(z) and res_feas; on the direct path res_feas
-    # is a function, because forming A z - y is a pass over the map
+    # solve_z(x) returns vec(z) and res_feas; on the direct path res_feas is
+    # a function, because forming A z - y is a pass over the map
     if m < d:
-        lam1 = np.zeros(m)
-
-        def solve_z(mu, v):
-            nonlocal lam1
-            q = _cho_solve(factor, a @ v - (y - lam1 / mu))
-            feas = q - lam1 / mu  # = A z - y
-            lam1 = lam1 + mu * feas
-            return v - a.T @ q, float(np.abs(feas).max())
+        def solve_z(x_vec):
+            q = _cho_solve(factor, a @ x_vec - y)  # = A z - y
+            return x_vec - a.T @ q, float(np.abs(q).max())
     else:
         # an overflow here raises NonFiniteValues at the first SVT, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             aty = a.T @ y
-        w = np.zeros(d)  # A^T lam1
 
-        def solve_z(mu, v):
-            nonlocal w
-            rhs = aty - w / mu + v
-            z_vec = _cho_solve(factor, rhs)
-            w = w + mu * (rhs - z_vec - aty)  # rhs - z = A^T A z
+        def solve_z(x_vec):
+            z_vec = _cho_solve(factor, aty + x_vec)
             return z_vec, lambda: float(np.abs(a @ z_vec - y).max())
 
     x = np.zeros(dims)
     z = np.zeros(dims)
     lam2 = np.zeros(dims)
+    at_zero = None  # solve_z at x = 0, the z of every zero SVT call
 
     def step(mu, svt_state):
-        nonlocal x, z, lam2
+        nonlocal x, z, lam2, at_zero
         x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu, svt_state)
-        z_vec, res_feas = solve_z(mu, vec(lam2) / mu + vec(x_new))
+        if x_new.any():
+            z_vec, res_feas = solve_z(vec(x_new))
+        else:
+            if at_zero is None:
+                at_zero = solve_z(np.zeros(x_new.size))
+            z_vec, res_feas = at_zero
         z_new = unvec(z_vec, dims)
         lam2 = lam2 + mu * (x_new - z_new)
         residuals = {
@@ -393,6 +415,7 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     return _admm(cfg, step, t0)
 
 
+@tensor._thread_scope()
 def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None = None):
     """Minimize the tensor nuclear norm subject to agreeing with m_obs on the mask.
 
@@ -432,9 +455,14 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
         gap = b - x_new.take(obs)
         dual += mu * gap
         x_old, x = x, x_new
+
+        def change(where=True):  # x's largest change, in one temporary
+            d = x_new - x_old
+            return float(np.max(np.abs(d, out=d), where=where, initial=0.0))
+
         residuals = {
-            "res_x": lambda: float(np.abs(x_new - x_old).max()),
-            "res_e": lambda: float(np.max(np.abs(x_new - x_old), where=unobserved, initial=0.0)),
+            "res_x": change,
+            "res_e": partial(change, unobserved),
             "res_feas": float(np.abs(gap).max(initial=0.0)),
         }
         return x, objective, residuals

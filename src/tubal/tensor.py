@@ -29,18 +29,23 @@ split call (``_cpu_count``), so a mask narrowed after import
 ceil(quota / period), read at each call as well.  One rule, ``_parts``,
 decides how many threads share a kernel: one per CPU, at most one per
 independent piece, and one thread for a kernel of fewer than
-``_PARALLEL_MIN`` elements.  The FFTs run on
-``scipy.fft``'s own threads (``workers=``).  The SVD and the sketch of
-``tsvd`` run through ``_sliced``, which splits the leading axis of a
-stack into one contiguous chunk per thread.  The Gaussian path splits
+``_PARALLEL_MIN`` elements.  ``_sliced`` splits an axis into one
+contiguous chunk per thread, and runs a kernel that the rule leaves whole
+inline.  The FFTs go through it by rows: each chunk is one ``numpy.fft``
+call (the pocketfft code that ``scipy.fft`` runs, bit for bit) that
+writes its rows of a C-ordered output with ``out=``, under
+``np.errstate``, so an input that overflows yields inf or NaN, for the
+SVT to reject, and no warning.  The SVD and the sketch of ``tsvd`` go
+through it by slices.  The Gaussian path splits
 three more kernels by the same rule: the map fill of ``rng.normal_fill``,
 in blocks of a fixed number of pairs, and the Gram product and the
 Cholesky factor of ``solve._factor``, in tiles of a fixed number of rows.
 ``_on_threads`` runs every split kernel: the first task in the calling
 thread and every other one on a thread of the open thread scope
 (``_thread_scope``), and every task writes its own part of a
-preallocated output.  ``solve._admm`` opens one scope for each solve, and
-``solve._factor`` one for a Gram and its factor: the first split call
+preallocated output.  Each solver of ``solve`` runs in one scope, set-up
+included, and ``solve._factor``, called alone, opens one for its Gram and
+factor: the first split call
 starts its threads, every later call in the scope reuses them, and they
 are joined when the scope returns or raises.  A split call outside a scope
 is a scope of its own.  So threads live for one solve at most, and the
@@ -72,7 +77,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     DimMismatch,
@@ -209,9 +213,13 @@ def _sliced(n: int, size: int, task) -> None:
     """Run task(lo, hi) over contiguous chunks [lo, hi) covering range(n).
 
     One chunk for each of the _parts(n, size) threads, run by _on_threads;
-    a task writes only its own part of its outputs.
+    a single chunk runs inline.  A task writes only its own part of its
+    outputs.
     """
     parts = _parts(n, size)
+    if parts == 1:
+        task(0, n)
+        return
     edges = [n * i // parts for i in range(parts + 1)]
     _on_threads([partial(task, lo, hi) for lo, hi in zip(edges, edges[1:])])
 
@@ -281,20 +289,33 @@ def _split(dims) -> bool:
     return (n3 // 2 + 1) * n1 * n2 >= _PARALLEL_MIN
 
 
-def _fft_workers(dims) -> int:
-    return _cpu_count() if _split(dims) else 1
-
-
 def _rfft3(a: np.ndarray) -> np.ndarray:
     """The independent Fourier slices of a real tensor: a C-contiguous (h, n1, n2) stack."""
     _require_tubes(a)
-    return scipy.fft.rfft(a.transpose(2, 0, 1), axis=0, workers=_fft_workers(a.shape))
+    n1, n2, n3 = a.shape
+    f = np.empty((n3 // 2 + 1, n1, n2), dtype=complex)
+    out = f.transpose(1, 2, 0)
+
+    def task(lo, hi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.fft.rfft(a[lo:hi], axis=2, out=out[lo:hi])
+
+    _sliced(n1, f.size, task)
+    return f
 
 
 def _irfft3(f: np.ndarray, n3: int) -> np.ndarray:
     """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2)."""
-    dims = f.shape[1:] + (n3,)
-    return scipy.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2, workers=_fft_workers(dims))
+    h, n1, n2 = f.shape
+    out = np.empty((n1, n2, n3))
+    tubes = f.transpose(1, 2, 0)
+
+    def task(lo, hi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.fft.irfft(tubes[lo:hi], n=n3, axis=2, out=out[lo:hi])
+
+    _sliced(n1, h * n1 * n2, task)
+    return out
 
 
 def fft_dim3(a: np.ndarray) -> np.ndarray:

@@ -73,13 +73,24 @@ The LAPACK work runs slice-parallel through `tensor._sliced`: the SVD
 (`_svd`, with or without vectors) and one task per chunk for the sketch
 (its products, QR, power steps and Ritz SVD).  A chunk that takes a power
 step forms the conjugate transpose of its own slices inside its task;
-there is no separate conjugate kernel.  The slice norms, the certificate's
-residuals and the rebuild of the thresholded slices are numpy calls on the
-whole stack, and the FFTs run on `scipy.fft`'s threads (see the `tensor`
-module docstring).  The zero test, the plan, the all-slices certificate
-and `paths` stay in the calling thread, and each slice gets the same
-LAPACK call for any chunking, so results do not depend on the worker
-count.
+there is no separate conjugate kernel.  The slice norms, the
+certificate's residuals and the rebuild of the thresholded slices are
+numpy calls on the whole stack (the rebuild in batches), and the FFTs
+split by rows (see the `tensor` module docstring).
+The zero test, the plan, the all-slices certificate and `paths` stay in
+the calling thread, and each slice gets the same LAPACK and BLAS calls
+for any chunking, so results do not depend on the worker count.
+
+A full-path call stores its factors in place.  The SVD writes each
+batch's left vectors U (n1 x min(n1, n2) per slice, which fits in the
+n1 x n2 slice) over the spectrum F, so no stack of them sits beside F.
+Once the state holds the k kept right vectors, V^H is dropped, and the
+rebuild writes each thresholded slice, U_k diag(s_k - tau) V_k^H with the
+one k of the whole stack, back into F, for the inverse FFT to read.  So
+the call holds F, V^H and the output, besides its input, which its caller
+keeps alive until the call returns: on the n=100 Table-2 row, freeing the
+input before the SVD lowered the traced peak but multiplied the minor page
+faults by 13-15.
 """
 
 import math
@@ -103,8 +114,9 @@ from .tensor import (
 )
 
 
-# Slice elements per LAPACK call of `_svd`.  Its factors are copied into the
-# preallocated output; in batches this small the copies stay small too.  On
+# Slice elements per LAPACK call of `_svd`, and per product of the rebuild
+# (`_threshold`).  Their factors are copied into place; in batches this
+# small the copies stay small too.  On
 # complete_table2 at seed 2, one call per chunk raised peak RSS by 9 MB over
 # one thread, batches of 2**16 elements by 4 MB.
 _SVD_BATCH = 2 ** 16
@@ -112,12 +124,16 @@ _SVD_BATCH = 2 ** 16
 
 def _svd(f: np.ndarray, vectors: bool = True):
     """Thin SVD (u, s, vh) of every slice of the stack f; with vectors=False
-    only the singular values s, shape (h, min(n1, n2))."""
+    only the singular values s, shape (h, min(n1, n2)).
+
+    With vectors, u (h, n1, min(n1, n2)) is the view f[:, :, :min(n1, n2)]:
+    each batch's left vectors overwrite the slices they came from, so the
+    SVD holds no stack of them beside f.
+    """
     h, n1, n2 = f.shape
     k = min(n1, n2)
     s = np.empty((h, k))
     if vectors:
-        u = np.empty((h, n1, k), dtype=f.dtype)
         vh = np.empty((h, k, n2), dtype=f.dtype)
     batch = max(1, _SVD_BATCH // max(1, n1 * n2))
 
@@ -125,12 +141,12 @@ def _svd(f: np.ndarray, vectors: bool = True):
         for i in range(lo, hi, batch):
             j = min(i + batch, hi)
             if vectors:
-                u[i:j], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
+                f[i:j, :, :k], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
             else:
                 s[i:j] = np.linalg.svd(f[i:j], compute_uv=False)
 
     _sliced(h, f.size, task)
-    return (u, s, vh) if vectors else s
+    return (f[:, :, :k], s, vh) if vectors else s
 
 
 def _slice_svals(a: np.ndarray) -> np.ndarray:
@@ -297,12 +313,24 @@ class _SvtState:
         return self._gauss[key]
 
 
-def _threshold(u, s, vh, tau: float, n3: int):
-    """Rebuild the thresholded tensor from the kept columns of per-slice factors."""
-    shr = np.maximum(s - tau, 0.0)
-    k = int((shr > 0.0).sum(axis=1).max()) if shr.size else 0
-    g = (u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k]
-    return _irfft3(g, n3), float(_spectral_mean(shr, n3).sum())
+def _threshold(f, u, shr, v, n3: int) -> np.ndarray:
+    """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) v^H,
+    with k the columns of v, or the exact zero when v is None.
+
+    The slices are written into f, which u may view, in batches of
+    `_SVD_BATCH` elements: one batched product of the kept left columns,
+    scaled, with the kept right vectors as C-ordered k x n2 blocks, so
+    every slice gets the BLAS call that one product of the whole stack
+    makes for it, and only a batch's factors are copied.
+    """
+    if v is None:
+        return np.zeros(f.shape[1:] + (n3,))
+    k = v.shape[2]
+    batch = max(1, _SVD_BATCH // max(1, f[0].size))
+    for i in range(0, len(f), batch):
+        np.matmul(u[i:i + batch, :, :k] * shr[i:i + batch, None, :k],
+                  v[i:i + batch].conj().transpose(0, 2, 1), out=f[i:i + batch])
+    return _irfft3(f, n3)
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -483,11 +511,12 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
         factors = _svd(f)
         path = "full"
     state.paths[path] += 1
-    del f  # the rebuild does not read F: free it first
     u, s, vh = factors
-    k = int((s > tau).sum(axis=1).max())
+    shr = np.maximum(s - tau, 0.0)
+    k = int((shr > 0.0).sum(axis=1).max())
     state.leave(vh[:, :k].conj().transpose(0, 2, 1) if k else None, s)
-    return _threshold(u, s, vh, tau, n3)
+    del factors, vh  # the rebuild reads the kept right vectors from the state
+    return _threshold(f, u, shr, state.v, n3), float(_spectral_mean(shr, n3).sum())
 
 
 # The relative margin of `_ScaledZero`'s tests, beyond the rounding bound it

@@ -5,6 +5,7 @@ the worker count."""
 
 import dataclasses
 import errno
+import importlib
 import multiprocessing
 import os
 import signal
@@ -14,11 +15,15 @@ import time
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import tubal as tb
 from tubal import lab, rng, solve, tensor
 from tubal.errors import NonFiniteValues
 from tubal.solve import AdmmConfig
+
+# the package exports the function tsvd under the module's name
+tsvd = importlib.import_module("tubal.tsvd")
 
 
 def _with_workers(monkeypatch, count, fn):
@@ -55,24 +60,66 @@ def test_sliced_propagates_a_worker_error(monkeypatch):
         _with_workers(monkeypatch, 3, lambda: tensor._sliced(6, 6, task))
 
 
+# small, prime, odd and even n3, and powers of two and three
+_FFT_N3 = list(range(1, 20)) + [31, 32, 33, 64, 97, 100, 101, 127, 128, 243, 256]
+
+
 @pytest.mark.parametrize("split", [False, True])
-@pytest.mark.parametrize("n3", [1, 2, 3, 8])
+@pytest.mark.parametrize("n3", _FFT_N3)
 def test_ffts_match_numpy_bitwise(monkeypatch, n3, split):
+    # numpy.fft and scipy.fft run the same pocketfft code: the split FFTs
+    # match both, on a contiguous and a strided tensor, for 1-3 CPUs
     a = np.random.default_rng(n3).standard_normal((9, 7, n3))
     half = (n3 // 2 + 1) * 9 * 7
-    monkeypatch.setattr(tensor, "_cpu_count", lambda: 3)
     monkeypatch.setattr(tensor, "_PARALLEL_MIN", half if split else half + 1)
-    for x in (a, a.transpose(1, 0, 2)):  # a contiguous and a strided tensor
-        assert tensor._split(x.shape) == split
-        f = tensor._rfft3(x)
-        assert f.shape == (n3 // 2 + 1,) + x.shape[:2] and f.flags.c_contiguous
-        assert f.tobytes() == np.fft.rfft(x, axis=2).transpose(2, 0, 1).tobytes()
-        back = tensor._irfft3(f, n3)
-        assert back.tobytes() == np.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2).tobytes()
-        # a strided stack, as the rebuild of kept columns passes it
-        part = tensor._irfft3(f[:, :, :2], n3)
-        assert part.tobytes() == np.fft.irfft(f[:, :, :2].transpose(1, 2, 0), n=n3,
-                                              axis=2).tobytes()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(tensor, "_cpu_count", lambda: cpus)
+        for x in (a, a.transpose(1, 0, 2)):  # a contiguous and a strided tensor
+            assert tensor._split(x.shape) == split
+            f = tensor._rfft3(x)
+            assert f.shape == (n3 // 2 + 1,) + x.shape[:2] and f.flags.c_contiguous
+            assert f.tobytes() == np.fft.rfft(x, axis=2).transpose(2, 0, 1).tobytes()
+            assert f.tobytes() == scipy.fft.rfft(x.transpose(2, 0, 1), axis=0).tobytes()
+            back = tensor._irfft3(f, n3)
+            assert back.tobytes() == np.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2).tobytes()
+            assert back.tobytes() == scipy.fft.irfft(f.transpose(1, 2, 0), n=n3,
+                                                     axis=2).tobytes()
+            # a strided stack, as the rebuild of kept columns passes it
+            part = tensor._irfft3(f[:, :, :2], n3)
+            assert part.tobytes() == scipy.fft.irfft(f[:, :, :2].transpose(1, 2, 0), n=n3,
+                                                     axis=2).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ffts_of_overflowing_input_do_not_warn(monkeypatch):
+    # the SVT raises NonFiniteValues on such a spectrum; the FFTs, split or
+    # not, only return it
+    a = np.full((9, 7, 5), 1.7e308)
+    for workers in (1, 3):
+        f = _with_workers(monkeypatch, workers, lambda: tensor._rfft3(a))
+        assert not np.isfinite(f).all()
+        assert not np.isfinite(tensor._irfft3(f, 5)).all()
+
+
+# square, tall and wide stacks, with odd and even n3
+@pytest.mark.parametrize("shape", [(40, 40, 5), (50, 36, 4), (36, 50, 3), (7, 5, 6)])
+def test_svt_full_path_matches_the_batched_rebuild(monkeypatch, shape):
+    # the full path overwrites the spectrum with the left vectors and then
+    # with the rebuilt slices; bit for bit it is the batched formula
+    y = np.random.default_rng(sum(shape)).standard_normal(shape)
+    u, s, vh = np.linalg.svd(scipy.fft.rfft(y.transpose(2, 0, 1), axis=0),
+                             full_matrices=False)
+    for tau in (0.5 * s.max(), 0.9 * np.median(s), 1.01 * s[:, 0].max()):
+        shr = np.maximum(s - tau, 0.0)
+        k = int((shr > 0).sum(axis=1).max())
+        g = (u[:, :, :k] * shr[:, None, :k]) @ vh[:, :k]
+        expected = scipy.fft.irfft(g.transpose(1, 2, 0), n=shape[2], axis=2)
+        for workers in (1, 2, 3):
+            state = tsvd._SvtState()
+            x, t = _with_workers(monkeypatch, workers, lambda: tsvd._svt_freq(y, tau, state))
+            assert state.paths == {"zero": 0, "truncated": 0, "full": 1}
+            assert x.tobytes() == expected.tobytes()
+            assert t == float(tensor._spectral_mean(shr, shape[2]).sum())
 
 
 def _spectral_outputs(shape, seed):
@@ -334,8 +381,8 @@ def test_a_cgroup_cpu_quota_caps_the_count(monkeypatch, tmp_path, cpu_max, count
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_splits_its_own_stacks(monkeypatch):
     # a child forked after the parent split a stack has none of the
-    # parent's threads: its own split calls must start theirs, and the FFTs
-    # run on scipy.fft's threads, which the child must get too
+    # parent's threads: its own split calls, the FFTs' among them, must
+    # start theirs
 
     def both():
         a, tau, expected = _split_svt()  # the FFT and slice threads ran before the fork
@@ -449,23 +496,17 @@ def test_stacks_at_the_threshold_build_no_pool(monkeypatch):
 
 
 def _guard_trial_processes(monkeypatch):
-    """Make a trial process that starts a thread, its own or scipy.fft's, raise."""
+    """Make a trial process that starts a thread raise; the FFTs split over
+    the slice threads too, so this covers them."""
     parent = os.getpid()
-    start, fft_workers = threading.Thread.start, tensor._fft_workers
+    start = threading.Thread.start
 
     def guarded_start(thread):
         if os.getpid() != parent:
             raise RuntimeError(f"thread {thread.name} started in a trial process")
         start(thread)
 
-    def guarded_fft_workers(dims):
-        workers = fft_workers(dims)
-        if workers > 1 and os.getpid() != parent:
-            raise RuntimeError(f"FFT of {dims} on {workers} workers in a trial process")
-        return workers
-
     monkeypatch.setattr(threading.Thread, "start", guarded_start)
-    monkeypatch.setattr(tensor, "_fft_workers", guarded_fft_workers)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import tubal as tb
+from tubal import tensor
 from tubal.errors import DimMismatch, EmptyTensor, InvalidSolverConfig, NonFiniteValues
 from tubal.solve import AdmmConfig, _admm, _penalty
 from tubal.tensor import unvec, vec
@@ -222,6 +223,30 @@ def test_factor_holds_half_the_system(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 8 * (k * k + k * tile) / 2
+
+
+def test_completion_holds_no_stack_of_left_vectors(monkeypatch):
+    # every SVT call that is not zero takes the full path (slices below
+    # _MIN_SIDE) and keeps a small rank.  Beside x, the observed data and
+    # its duals, a call holds its input, the spectrum F, which the SVD's
+    # left vectors and then the rebuilt slices overwrite, and V^H: measured
+    # 7.1 tensors of n1 n2 n3 doubles; a stack of left vectors or of rebuilt
+    # slices beside F adds more than one (8.5 measured)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(tsvd_module, "_SVD_BATCH", 1)  # one slice per LAPACK call
+    dims = (30, 30, 16)
+    m_full = tb.rand_low_tubal(*dims, 2, seed=1, scale="inv_n")
+    mask = tb.make_bernoulli_mask(dims, 0.6, seed=2)
+    tb.solve_completion(mask, m_full)  # numpy's lazy imports are not the solve's
+    tracemalloc.start()
+    try:
+        xhat, report = tb.solve_completion(mask, m_full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.svt_paths["truncated"] == 0
+    assert report.svt_paths["full"] > 0 and tb.rel_error(xhat, m_full) <= 1e-6
+    assert peak <= 7.5 * 8 * np.prod(dims)
 
 
 def test_gaussian_rejects_empty_tensor():
