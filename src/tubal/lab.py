@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solve, tensor
+from . import tensor
 from .errors import (
     DimMismatch,
     InvalidEpsilon,
@@ -247,17 +247,13 @@ def _run_trials(specs) -> list:
     type and message from the first spec that raised it.
 
     Workers are forked, not spawned, so they start with the package
-    imported instead of importing numpy again.  Before it forks workers
-    for Gaussian trials, this imports scipy.linalg (solve._linalg), which
-    only the Gaussian path uses, so the workers inherit it too.  The
-    package holds no thread between calls (a solve joins its slice threads
-    before it returns), so a worker inherits none.
+    imported instead of importing numpy again.  The package holds no
+    thread between calls (a solve joins its slice threads before it
+    returns), so a worker inherits none.
     """
     workers = min(tensor._cpu_count(), len(specs))
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
         return [_trial(spec) for spec in specs]
-    if any(spec[0] == "gaussian" for spec in specs):
-        solve._linalg()  # imported once here, not in every worker
     try:
         pool = multiprocessing.get_context("fork").Pool(workers, _trial_worker)
     except OSError:  # fork's EAGAIN or ENOMEM: no process to spare

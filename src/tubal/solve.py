@@ -30,17 +30,20 @@ contiguous Fortran block.  A k x k system takes about (k^2 + k * _TILE) / 2
 doubles instead of the k^2 of a dense array, of which LAPACK reads one
 triangle; with the m x d map, the Gaussian path holds m d + about d^2 / 2
 doubles.  The Gram writes every panel in place, and a right-looking tiled
-Cholesky factors the grid in place: dpotrf on each diagonal tile, dtrsm on
-the tiles below it, and dsyrk and dgemm on the tiles right of it.  The Gram
-panels, and the tiles of each factor step, run on `tensor._parts` threads.
-Their layout depends on the size alone, so the factor is bitwise the same
-for any CPU count.  Each iteration solves L L^T z = b (`_cho_solve`) with
-one dgemv and one dtrsv per panel and triangle.  That reads every tile once
-per triangle, as two dtrsv calls on a dense factor do, so the solve is
-bound by memory bandwidth; it agrees with `scipy.linalg.cho_solve` to
-rounding.  These BLAS and LAPACK routines are scipy's, and `_linalg`
-imports scipy.linalg at the first Gaussian solve: no other path of the
-package uses scipy.
+Cholesky factors the grid in place, from numpy calls alone: a left-looking
+blocked Cholesky of each diagonal tile, block forward substitution on the
+tiles below it, and products subtracted from the tiles right of it, all in
+blocks of _TILE // 8 rows or columns.  Each diagonal block of L holds its
+inverse, which the substitutions and the solves multiply by.  The Gram
+panels, and the tiles of each factor step, run on `tensor._parts` threads:
+numpy's matmul and linalg routines release the GIL while they run.  Their
+layout depends on the size alone, so the factor is bitwise the same for any
+CPU count.  Each iteration solves L L^T z = b (`_cho_solve`) with one
+matrix-vector product per panel and triangle for the tiles left of the
+diagonal, and two per block of the diagonal tile.  That reads every tile
+once per triangle, as two dtrsv calls on a dense factor do, and each
+diagonal block whole, so the solve is bound by memory bandwidth; it agrees
+with `scipy.linalg.cho_solve` to rounding.  No path of the package uses scipy.
 
 Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
 full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
@@ -69,11 +72,9 @@ split kernels, the FFTs among them, share one set of threads.
 At the iteration cap the report has converged=False and the last iterate.
 """
 
-import ctypes
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
@@ -85,11 +86,13 @@ from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 
 # Rows per tile of the Gaussian system's grid (`_factor`): the unit of its
-# storage, of the Gram's and the factor's split over the CPUs, and of the
-# solves' BLAS calls.  At d = 4500 (the n=30 Table-1 row), on 2 CPUs with one
-# BLAS thread, the grid holds 93.9 MiB (154.5 MiB dense); the Gram and the
-# factor took 1.41 s in 1024-row tiles and 1.56 s in 512-row tiles, which
-# hold 8 MiB less (medians of 6).  A system of at most _TILE rows is one tile.
+# storage and of the Gram's and the factor's split over the CPUs; the tile
+# kernels and the solves work in blocks of _TILE // 8 rows.  At d = 4500 (the
+# n=30 Table-1 row), on 2 CPUs with one BLAS thread, the grid holds 93.9 MiB
+# (154.5 MiB dense), and the Gram and the factor took 1.83 s in 1024-row
+# tiles, 1.87 s in 512-row tiles, which hold 8 MiB less, and 1.82 s in
+# 2048-row tiles, which hold 16 MiB more (medians of 5).  A system of at most
+# _TILE rows is one tile.
 _TILE = 1024
 
 
@@ -175,77 +178,68 @@ def _admm(cfg: AdmmConfig, step, t0: float):
     return x, report
 
 
-# scipy.linalg.blas holds the GIL while BLAS runs, so tile tasks calling it
-# from threads would run one at a time.  `_linalg` wraps scipy's BLAS
-# through the function pointers of scipy.linalg.cython_blas with ctypes,
-# which releases the GIL for the call.  Every argument goes by pointer, as
-# Fortran takes it: a one-letter flag, an int, a float, or an array.
-_FLAG, _INT, _FLOAT = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
-                       ctypes.POINTER(ctypes.c_double))
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
+def _product(a: np.ndarray, b: np.ndarray, top: int = 0) -> np.ndarray:
+    """a b^T from row top down, as a Fortran array with a's rows, zero above
+    row top.
 
-
-def _pointer(kind, value):
-    if kind is _FLAG:
-        return value
-    if kind is _INT:
-        return ctypes.byref(ctypes.c_int(value))
-    if not isinstance(value, np.ndarray):
-        return ctypes.byref(ctypes.c_double(value))
-    if value.dtype != np.float64 or not value.flags.f_contiguous:
-        raise TypeError("BLAS takes Fortran-contiguous float64 arrays")
-    return value.ctypes.data_as(_FLOAT)
-
-
-@cache
-def _linalg() -> SimpleNamespace:
-    """The BLAS and LAPACK routines of the Gaussian path, imported from
-    scipy.linalg at the first call: dtrsm, dsyrk and dgemm through ctypes,
-    dgemv, dtrsv and dpotrf as scipy's wrappers.
-
-    Only the Gaussian path uses scipy, so a process that never solves a
-    Gaussian system never imports it.  `solve_gaussian` calls this in the
-    calling thread before any tile task, and `lab._run_trials` before it
-    forks Gaussian trial workers, which then inherit the routines.
+    The tile kernels write it into a strip of whole Fortran columns of a
+    tile: numpy runs an elementwise operation on a view that is not
+    contiguous, or whose operands differ in layout, through buffers and at
+    about half the speed.
     """
-    import scipy.linalg.cython_blas
-    from scipy.linalg.blas import dgemv, dtrsv
-    from scipy.linalg.lapack import dpotrf
-
-    def blas(name, *kinds):
-        capsule = scipy.linalg.cython_blas.__pyx_capi__[name]
-        routine = ctypes.CFUNCTYPE(None, *kinds)(
-            _capsule_pointer(capsule, _capsule_name(capsule)))
-
-        def call(*args):
-            routine(*(_pointer(kind, value) for kind, value in zip(kinds, args)))
-
-        return call
-
-    return SimpleNamespace(
-        dtrsm=blas("dtrsm", *[_FLAG] * 4, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT),
-        dsyrk=blas("dsyrk", _FLAG, _FLAG, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _FLOAT,
-                   _INT),
-        dgemm=blas("dgemm", _FLAG, _FLAG, _INT, _INT, _INT, _FLOAT, _FLOAT, _INT, _FLOAT, _INT,
-                   _FLOAT, _FLOAT, _INT),
-        dgemv=dgemv, dtrsv=dtrsv, dpotrf=dpotrf)
-
-
-def _lower_solve(diag: np.ndarray, t: np.ndarray) -> None:
-    """t = t diag^-T in place, for the lower triangle of diag (dtrsm)."""
-    _linalg().dtrsm(b"R", b"L", b"T", b"N", *t.shape, 1.0, diag, len(diag), t, len(t))
+    out = np.zeros((len(a), len(b)), order="F")
+    np.matmul(b, a[top:].T, out=out[top:].T)
+    return out
 
 
 def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
-    """c -= a b^T in place; b None: the lower triangle of c -= a a^T (dsyrk)."""
-    if b is None:
-        _linalg().dsyrk(b"L", b"N", len(c), a.shape[1], -1.0, a, len(a), 1.0, c, len(c))
-    else:
-        _linalg().dgemm(b"N", b"T", len(c), len(b), a.shape[1], -1.0, a, len(a), b, len(b),
-                        1.0, c, len(c))
+    """c -= a b^T in place, in column strips of half a block (_TILE // 16
+    columns), which keeps what tasks running side by side hold beside the
+    grid small.  b None: c is a diagonal tile, a is its own b, and each
+    strip is updated from its first row down, which covers the lower
+    triangle."""
+    step, diagonal = max(1, _TILE // 16), b is None
+    b = a if diagonal else b
+    for p in range(0, c.shape[1], step):
+        c[:, p:p + step] -= _product(a, b[p:p + step], p if diagonal else 0)
+
+
+def _multiply(x: np.ndarray, inv: np.ndarray) -> None:
+    """x = x inv^T in place, for a lower triangle inv, in column strips of
+    half a block from the last: a strip reads x only up to its own columns."""
+    step = max(1, _TILE // 16)
+    for p in reversed(range(0, x.shape[1], step)):
+        x[:, p:p + step] = _product(x[:, :p + step], inv[p:p + step, :p + step])
+
+
+def _factor_tile(t: np.ndarray) -> None:
+    """Left-looking blocked Cholesky of a diagonal tile, in place.
+
+    Each block of _TILE // 8 columns subtracts its product with the columns
+    to its left, factors its diagonal block L_bb and multiplies the rows
+    below by inv(L_bb)^T.  No call reads L_bb again, so the block holds
+    inv(L_bb) in its place, with exact zeros above its diagonal, since the
+    substitutions and the solves multiply by the whole block.
+    """
+    step = _TILE // 8
+    for p in range(0, len(t), step):
+        q = p + step
+        if p:
+            t[:, p:q] -= _product(t[:, :p], t[p:q, :p], p)
+        inv = np.tril(np.linalg.inv(np.linalg.cholesky(t[p:q, p:q])))
+        t[p:q, p:q] = inv
+        _multiply(t[q:, p:q], inv)
+
+
+def _lower_solve(diag: np.ndarray, t: np.ndarray) -> None:
+    """t = t L^-T in place, for the factored diagonal tile diag of L: block
+    forward substitution, one block of _TILE // 8 columns at a time."""
+    step = _TILE // 8
+    for p in range(0, len(diag), step):
+        q = p + step
+        if p:
+            _subtract(t[:, p:q], t[:, :p], diag[p:q, :p])
+        _multiply(t[:, p:q], diag[p:q, p:q])
 
 
 def _split(jobs, size: int) -> None:
@@ -276,22 +270,25 @@ def _factor(src: np.ndarray) -> list:
 
     The grid holds one Fortran panel per row of tiles: panel i is rows
     lo..hi-1 of L up to column hi-1, and tile j of it, panel[:, lo_j:hi_j],
-    is a contiguous Fortran block, so BLAS and LAPACK work on every tile in
-    place.  The diagonal tile also holds an upper triangle that no call
-    reads.  A k x k system takes about (k^2 + k * _TILE) / 2 values.
+    is a contiguous Fortran block.  The diagonal tile also holds an upper
+    triangle that no call reads, and each diagonal block of _TILE // 8 rows
+    holds inv(L_bb) in place of L_bb (`_factor_tile`).  A k x k system takes
+    about (k^2 + k * _TILE) / 2 values.
 
     The Gram writes each panel through its C-ordered transpose: one matmul
     for the columns before lo, and one for the diagonal tile, which numpy
     computes with dsyrk.  The factor is right-looking, one tile column j at
-    a time: dpotrf on the diagonal tile, dtrsm on each tile below it, then
-    each tile right of column j and on or below the diagonal subtracts its
-    product of two tiles of column j (dsyrk on the diagonal, dgemm off it).
-    The panels of the Gram, and the tiles of each dtrsm and update step,
+    a time: `_factor_tile` on the diagonal tile, `_lower_solve` on each tile
+    below it, then each tile right of column j and on or below the diagonal
+    subtracts its product of two tiles of column j (`_subtract`).  The
+    panels of the Gram, and the tiles of each substitution and update step,
     are independent tasks run by `_split`; a step waits for the last.  The
     tiles are laid out from k alone, and each tile takes its updates in
     the order of the steps, so L is bitwise the same for any CPU count.
+    Beside the grid, a task that runs beside others holds one product of
+    half a block of columns (`_subtract`, `_multiply`), and `_factor_tile`,
+    which runs alone, one of a block.
     """
-    dpotrf = _linalg().dpotrf
     k = src.shape[0]
     edges = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)]
     panels = [np.empty((hi - lo, hi), order="F") for lo, hi in edges]
@@ -309,11 +306,9 @@ def _factor(src: np.ndarray) -> list:
         _split([(panel.size, partial(gram, lo, hi, panel.T))
                 for (lo, hi), panel in zip(edges, panels)], k * k)
         for j in range(len(edges)):
-            diag, info = dpotrf(tile(j, j), lower=1, clean=0, overwrite_a=1)
-            if info:
-                raise np.linalg.LinAlgError(f"tile {j} of the system is not positive definite")
+            _factor_tile(tile(j, j))
             below = range(j + 1, len(edges))
-            _split([(len(panels[i]), partial(_lower_solve, diag, tile(i, j)))
+            _split([(len(panels[i]), partial(_lower_solve, tile(j, j), tile(i, j)))
                     for i in below], k * k)
             _split([(len(panels[i]) * len(panels[c]) * (1 if c == i else 2),
                      partial(_subtract, tile(i, c), tile(i, j), None if c == i else tile(c, j)))
@@ -324,27 +319,37 @@ def _factor(src: np.ndarray) -> list:
 def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
     """(L L^T)^-1 b for the tile grid L of `_factor`.
 
-    L y = b row panel by row panel: one dgemv subtracts the panel's tiles
-    left of the diagonal, one dtrsv solves with its diagonal tile.  Then
-    L^T z = y from the last panel up: one dtrsv with the diagonal tile, one
-    transposed dgemv subtracts the result from every row above.  Each
-    triangle reads every tile once, in place.
+    L y = b row panel by row panel: one matmul subtracts the panel's tiles
+    left of the diagonal, and then each block of the diagonal tile takes
+    one matmul for its rows left of the block and one with its inverse.
+    L^T z = y runs the same blocks in reverse, transposed, from the last
+    panel up.  Each triangle reads every tile once, in place, and each
+    diagonal block whole.  A non-finite b gives NaN (inf times the zeros
+    of a block inverse), without a warning, for the next SVT to reject.
     """
-    linalg = _linalg()
-    dgemv, dtrsv = linalg.dgemv, linalg.dtrsv
+    step = _TILE // 8
     z = b.copy()
-    for panel in panels:
-        hi = panel.shape[1]
-        lo = hi - panel.shape[0]
-        if lo:
-            dgemv(-1.0, panel[:, :lo], z[:lo], beta=1.0, y=z[lo:hi], overwrite_y=1)
-        dtrsv(panel[:, lo:], z[lo:hi], lower=1, overwrite_x=1)
-    for panel in reversed(panels):
-        hi = panel.shape[1]
-        lo = hi - panel.shape[0]
-        dtrsv(panel[:, lo:], z[lo:hi], lower=1, trans=1, overwrite_x=1)
-        if lo:
-            dgemv(-1.0, panel[:, :lo], z[lo:hi], beta=1.0, y=z[:lo], trans=1, overwrite_y=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for panel in panels:
+            hi = panel.shape[1]
+            lo = hi - len(panel)
+            if lo:
+                z[lo:hi] -= panel[:, :lo] @ z[:lo]
+            diag, y = panel[:, lo:], z[lo:hi]
+            for p in range(0, len(y), step):
+                q = p + step
+                rhs = y[p:q] - diag[p:q, :p] @ y[:p] if p else y[p:q]
+                y[p:q] = diag[p:q, p:q] @ rhs
+        for panel in reversed(panels):
+            hi = panel.shape[1]
+            lo = hi - len(panel)
+            diag, y = panel[:, lo:], z[lo:hi]
+            for p in reversed(range(0, len(y), step)):
+                q = p + step
+                rhs = y[p:q] - diag[q:, p:q].T @ y[q:] if q < len(y) else y[p:q]
+                y[p:q] = diag[p:q, p:q].T @ rhs
+            if lo:
+                z[:lo] -= panel[:, :lo].T @ y
     return z
 
 
@@ -365,7 +370,6 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     _require_nonempty(gmap.dims)
     _require_finite(y, "measurement vector y")
     t0 = time.perf_counter()
-    _linalg()  # in the calling thread, before any tile task
     a = gmap.a
     m, d = a.shape
     dims = gmap.dims

@@ -84,9 +84,12 @@ for any chunking, so results do not depend on the worker count.
 A full-path call stores its factors in place.  The SVD writes each
 batch's left vectors U (n1 x min(n1, n2) per slice, which fits in the
 n1 x n2 slice) over the spectrum F, so no stack of them sits beside F.
-Once the state holds the k kept right vectors, V^H is dropped, and the
-rebuild writes each thresholded slice, U_k diag(s_k - tau) V_k^H with the
-one k of the whole stack, back into F, for the inverse FFT to read.  So
+The state keeps a conjugate copy of the k kept right vectors and V^H is
+dropped; a call that keeps every column (k = min(n1, n2), as on full-rank
+data) conjugates V^H in place and keeps it instead, so no copy of it sits
+beside it.  The rebuild writes each thresholded slice,
+U_k diag(s_k - tau) V_k^H with the one k of the whole stack, back into F,
+for the inverse FFT to read.  So
 the call holds F, V^H and the output, besides its input, which its caller
 keeps alive until the call returns: on the n=100 Table-2 row, freeing the
 input before the SVD lowered the traced peak but multiplied the minor page
@@ -514,8 +517,12 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     u, s, vh = factors
     shr = np.maximum(s - tau, 0.0)
     k = int((shr > 0.0).sum(axis=1).max())
-    state.leave(vh[:, :k].conj().transpose(0, 2, 1) if k else None, s)
-    del factors, vh  # the rebuild reads the kept right vectors from the state
+    if path == "full" and k == vh.shape[1]:  # every column: conjugate V^H in place
+        v = np.conj(vh, out=vh)
+    else:  # a copy, since a view would keep all of V^H until the next call
+        v = vh[:, :k].conj() if k else None
+    state.leave(None if v is None else v.transpose(0, 2, 1), s)
+    del factors, vh, v  # the rebuild reads the kept right vectors from the state
     return _threshold(f, u, shr, state.v, n3), float(_spectral_mean(shr, n3).sum())
 
 
