@@ -32,13 +32,15 @@ triangle; with the m x d map, the Gaussian path holds m d + about d^2 / 2
 doubles.  The Gram writes every panel in place, and a right-looking tiled
 Cholesky factors the grid in place, from numpy calls alone: a left-looking
 blocked Cholesky of each diagonal tile, block forward substitution on the
-tiles below it, and products subtracted from the tiles right of it, all in
-blocks of _TILE // 8 rows or columns.  Each diagonal block of L holds its
+tiles below it, and products subtracted from the tiles right of it, in
+blocks of _TILE // 8 rows or columns, whose products are subtracted in
+strips of _TILE // 32 whole columns.  Each diagonal block of L holds its
 inverse, which the substitutions and the solves multiply by.  The Gram
 panels, and the tiles of each factor step, run on `tensor._parts` threads:
 numpy's matmul and linalg routines release the GIL while they run.  Their
 layout depends on the size alone, so the factor is bitwise the same for any
-CPU count.  Each iteration solves L L^T z = b (`_cho_solve`) with one
+CPU count.  Each iteration solves L L^T z = b (`_cho_solve`, through views
+of the grid built once per factor, `_blocks`) with one
 matrix-vector product per panel and triangle for the tiles left of the
 diagonal, and two per block of the diagonal tile.  That reads every tile
 once per triangle, as two dtrsv calls on a dense factor do, and each
@@ -87,10 +89,11 @@ from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 # Rows per tile of the Gaussian system's grid (`_factor`): the unit of its
 # storage and of the Gram's and the factor's split over the CPUs; the tile
-# kernels and the solves work in blocks of _TILE // 8 rows.  At d = 4500 (the
+# kernels and the solves work in blocks of _TILE // 8 rows, and subtract
+# products in strips of _TILE // 32 columns.  At d = 4500 (the
 # n=30 Table-1 row), on 2 CPUs with one BLAS thread, the grid holds 93.9 MiB
-# (154.5 MiB dense), and the Gram and the factor took 1.83 s in 1024-row
-# tiles, 1.87 s in 512-row tiles, which hold 8 MiB less, and 1.82 s in
+# (154.5 MiB dense), and the Gram and the factor took 1.53 s in 1024-row
+# tiles, 1.63 s in 512-row tiles, which hold 8 MiB less, and 1.78 s in
 # 2048-row tiles, which hold 16 MiB more (medians of 5).  A system of at most
 # _TILE rows is one tile.
 _TILE = 1024
@@ -182,32 +185,35 @@ def _product(a: np.ndarray, b: np.ndarray, top: int = 0) -> np.ndarray:
     """a b^T from row top down, as a Fortran array with a's rows, zero above
     row top.
 
-    The tile kernels write it into a strip of whole Fortran columns of a
+    The tile kernels subtract it from a strip of whole Fortran columns of a
     tile: numpy runs an elementwise operation on a view that is not
-    contiguous, or whose operands differ in layout, through buffers and at
-    about half the speed.
+    contiguous through buffers of its own, which take memory and time.
     """
     out = np.zeros((len(a), len(b)), order="F")
     np.matmul(b, a[top:].T, out=out[top:].T)
     return out
 
 
-def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
-    """c -= a b^T in place, in column strips of half a block (_TILE // 16
-    columns), which keeps what tasks running side by side hold beside the
-    grid small.  b None: c is a diagonal tile, a is its own b, and each
-    strip is updated from its first row down, which covers the lower
-    triangle."""
-    step, diagonal = max(1, _TILE // 16), b is None
-    b = a if diagonal else b
+def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None = None,
+              at: int = 0) -> None:
+    """c -= a b^T in place, in strips of _TILE // 32 whole columns, so that
+    each task holds one product of a quarter block beside the grid.  b None:
+    c is columns at.. of a diagonal tile, a is its own b from row at, and
+    each strip is updated from its own diagonal row down, which covers the
+    lower triangle."""
+    step = max(1, _TILE // 32)
     for p in range(0, c.shape[1], step):
-        c[:, p:p + step] -= _product(a, b[p:p + step], p if diagonal else 0)
+        if b is None:
+            c[:, p:p + step] -= _product(a, a[at + p:at + p + step], at + p)
+        else:
+            c[:, p:p + step] -= _product(a, b[p:p + step])
 
 
 def _multiply(x: np.ndarray, inv: np.ndarray) -> None:
-    """x = x inv^T in place, for a lower triangle inv, in column strips of
-    half a block from the last: a strip reads x only up to its own columns."""
-    step = max(1, _TILE // 16)
+    """x = x inv^T in place, for a lower triangle inv, in strips of
+    _TILE // 32 columns from the last: a strip reads x only up to its own
+    columns."""
+    step = max(1, _TILE // 32)
     for p in reversed(range(0, x.shape[1], step)):
         x[:, p:p + step] = _product(x[:, :p + step], inv[p:p + step, :p + step])
 
@@ -225,7 +231,7 @@ def _factor_tile(t: np.ndarray) -> None:
     for p in range(0, len(t), step):
         q = p + step
         if p:
-            t[:, p:q] -= _product(t[:, :p], t[p:q, :p], p)
+            _subtract(t[:, p:q], t[:, :p], at=p)
         inv = np.tril(np.linalg.inv(np.linalg.cholesky(t[p:q, p:q])))
         t[p:q, p:q] = inv
         _multiply(t[q:, p:q], inv)
@@ -285,9 +291,8 @@ def _factor(src: np.ndarray) -> list:
     are independent tasks run by `_split`; a step waits for the last.  The
     tiles are laid out from k alone, and each tile takes its updates in
     the order of the steps, so L is bitwise the same for any CPU count.
-    Beside the grid, a task that runs beside others holds one product of
-    half a block of columns (`_subtract`, `_multiply`), and `_factor_tile`,
-    which runs alone, one of a block.
+    Beside the grid, each task holds one product of a quarter block of
+    columns (`_subtract`, `_multiply`).
     """
     k = src.shape[0]
     edges = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)]
@@ -316,8 +321,27 @@ def _factor(src: np.ndarray) -> list:
     return panels
 
 
-def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
-    """(L L^T)^-1 b for the tile grid L of `_factor`.
+def _blocks(panels: list) -> list:
+    """The views of the tile grid L of `_factor` that `_cho_solve` reads,
+    built once per factor: for each panel, its rows lo..hi-1, its tiles
+    left of the diagonal and, for each block p:q of _TILE // 8 rows of its
+    diagonal tile, the rows left of the block, the block's inverse and the
+    rows below it; None where a part is empty."""
+    step = _TILE // 8
+    out = []
+    for panel in panels:
+        hi, n = panel.shape[1], len(panel)
+        lo = hi - n
+        diag = panel[:, lo:]
+        out.append((lo, hi, panel[:, :lo] if lo else None,
+                    [(p, q, diag[p:q, :p] if p else None, diag[p:q, p:q],
+                      diag[q:, p:q] if q < n else None)
+                     for p, q in ((p, min(p + step, n)) for p in range(0, n, step))]))
+    return out
+
+
+def _cho_solve(blocks: list, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 b for the tile grid L of `_factor`, through its `_blocks`.
 
     L y = b row panel by row panel: one matmul subtracts the panel's tiles
     left of the diagonal, and then each block of the diagonal tile takes
@@ -327,29 +351,20 @@ def _cho_solve(panels: list, b: np.ndarray) -> np.ndarray:
     diagonal block whole.  A non-finite b gives NaN (inf times the zeros
     of a block inverse), without a warning, for the next SVT to reject.
     """
-    step = _TILE // 8
     z = b.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for panel in panels:
-            hi = panel.shape[1]
-            lo = hi - len(panel)
-            if lo:
-                z[lo:hi] -= panel[:, :lo] @ z[:lo]
-            diag, y = panel[:, lo:], z[lo:hi]
-            for p in range(0, len(y), step):
-                q = p + step
-                rhs = y[p:q] - diag[p:q, :p] @ y[:p] if p else y[p:q]
-                y[p:q] = diag[p:q, p:q] @ rhs
-        for panel in reversed(panels):
-            hi = panel.shape[1]
-            lo = hi - len(panel)
-            diag, y = panel[:, lo:], z[lo:hi]
-            for p in reversed(range(0, len(y), step)):
-                q = p + step
-                rhs = y[p:q] - diag[q:, p:q].T @ y[q:] if q < len(y) else y[p:q]
-                y[p:q] = diag[p:q, p:q].T @ rhs
-            if lo:
-                z[:lo] -= panel[:, :lo].T @ y
+        for lo, hi, left, diag in blocks:
+            if left is not None:
+                z[lo:hi] -= left @ z[:lo]
+            y = z[lo:hi]
+            for p, q, before, inv, _ in diag:
+                y[p:q] = inv @ (y[p:q] - before @ y[:p] if p else y[p:q])
+        for lo, hi, left, diag in reversed(blocks):
+            y = z[lo:hi]
+            for p, q, _, inv, below in reversed(diag):
+                y[p:q] = inv.T @ (y[p:q] - below.T @ y[q:] if below is not None else y[p:q])
+            if left is not None:
+                z[:lo] -= left.T @ y
     return z
 
 
@@ -374,7 +389,7 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     m, d = a.shape
     dims = gmap.dims
 
-    factor = _factor(a if m < d else a.T)
+    factor = _blocks(_factor(a if m < d else a.T))
 
     # solve_z(x) returns vec(z) and res_feas; on the direct path res_feas is
     # a function, because forming A z - y is a pass over the map
