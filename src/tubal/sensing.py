@@ -62,8 +62,8 @@ def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
 
 def apply_map(gmap: GaussianMap, x: np.ndarray) -> np.ndarray:
     """Measure a tensor: a @ vec(x)."""
-    if tuple(x.shape) != tuple(gmap.dims):
-        raise DimMismatch(f"tensor shape {x.shape} does not match map dims {gmap.dims}")
+    if np.shape(x) != tuple(gmap.dims):
+        raise DimMismatch(f"tensor shape {np.shape(x)} does not match map dims {gmap.dims}")
     return gmap.a @ vec(x)
 
 
@@ -107,8 +107,8 @@ def make_bernoulli_mask(dims, p: float, seed: int) -> SampleMask:
 
 
 def _check_mask_dims(mask: SampleMask, x: np.ndarray):
-    if tuple(x.shape) != tuple(mask.dims):
-        raise DimMismatch(f"tensor shape {x.shape} does not match mask dims {mask.dims}")
+    if np.shape(x) != tuple(mask.dims):
+        raise DimMismatch(f"tensor shape {np.shape(x)} does not match mask dims {mask.dims}")
 
 
 def proj_omega(mask: SampleMask, x: np.ndarray) -> np.ndarray:

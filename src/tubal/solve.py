@@ -464,10 +464,9 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     def step(mu, svt_state):
         nonlocal x, dual, zero_phase, mu_sum
         if zero_phase is not None:
-            if zero_phase(1.0 + mu_sum / mu, 1.0 / mu, svt_state,
-                          partial(svt_input, x, dual, mu)):
+            if zero_phase(1.0 + mu_sum / mu, 1.0 / mu, svt_state):
                 mu_sum += mu
-                dual = dual + mu * b  # not in place: the call's exact input reads the old one
+                dual += mu * b
                 return x, 0.0, {"res_x": 0.0, "res_e": 0.0, "res_feas": feas0}
             zero_phase = None
         x_new, objective = _svt_freq(svt_input(x, dual, mu), 1.0 / mu, svt_state)

@@ -19,17 +19,15 @@ The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
   the last call of the state kept no vectors (a zero call, or a call that
   kept nothing), the singular values are computed first, without vectors;
   if no slice's largest one exceeds tau the result is the same exact
-  zero, and the values stay in the state as the spectrum the full SVD
-  would have left.  Otherwise the call goes on to the full SVD, and the
-  values were spent for nothing.  A fresh state (every public `svt` call,
-  and the first call of a solve) skips this step and goes straight to the
-  full SVD, so a `svt` whose threshold keeps a value costs one SVD, not
-  two.  `_svt_freq` applies the rule to its input; the zero phase of a
-  completion solve (`_ScaledZero`) applies it to scaled values known to
-  within a rounding bound, and hands a call that they cannot settle to
-  `_svt_freq`.  A spectrum such a call leaves carries its bound, and
-  `_plan` replaces it by the exact one when the bound could change the
-  plan;
+  zero.  Otherwise the call goes on to the full SVD, and the values were
+  spent for nothing.  A zero call leaves no spectrum, so the state only
+  ever holds the exact spectrum of a call that took an SVD.  A fresh state
+  (every public `svt` call, and the first call of a solve) skips this step
+  and goes straight to the full SVD, so a `svt` whose threshold keeps a
+  value costs one SVD, not two.  `_svt_freq` applies the rule to its
+  input; the zero phase of a completion solve (`_ScaledZero`) applies it
+  to scaled values known to within a rounding bound, and hands a call
+  that they cannot settle to `_svt_freq`;
 - truncated: a randomized range finder (Halko, Martinsson & Tropp, SIAM
   Rev. 2011) on the test block [V_prev | G], with V_prev the right singular
   vectors the last call kept and G a fixed Gaussian block, followed by
@@ -288,24 +286,19 @@ class _SvtState:
 
     v: (h, n2, k) right singular vectors of the last call's kept columns, or
     None; svals: (h, >= k) the leading singular (or Ritz) values it saw, or
-    None; slack: how far svals may be from the exact values of the last
-    input, 0 unless a scaled zero call (`_ScaledZero`) left them, and then
-    exact() computes the exact ones; paths: calls per path.  A fresh state
-    knows no spectrum, so its first call takes the zero path or the full
-    SVD.
+    None after a zero call; paths: calls per path.  A fresh state knows no
+    spectrum, so its first call takes the zero path or the full SVD.
     """
 
     def __init__(self):
         self.v = None
         self.svals = None
-        self.slack = 0.0
-        self.exact = None
         self.paths = {"zero": 0, "truncated": 0, "full": 0}
         self._gauss = {}
 
-    def leave(self, v, svals, slack=0.0, exact=None):
+    def leave(self, v, svals):
         """Record the last call's kept right vectors and spectrum."""
-        self.v, self.svals, self.slack, self.exact = v, svals, slack, exact
+        self.v, self.svals = v, svals
 
     def gauss(self, h: int, n1: int, n2: int, l: int) -> np.ndarray:
         """The fixed (h, n2, _OVERSAMPLE) complex Gaussian block for this slice shape and l."""
@@ -354,62 +347,33 @@ def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
 
-# What `_plan_at` returns when the spectrum, known to within its slack,
-# does not settle the plan.
-_UNSURE = "unsure"
-
-
 def _plan(shape, tau: float, state: _SvtState):
     """(l, steps): the width of a warm sketch of a stack of this shape and
     the power steps it starts with, or None for the full SVD.
 
-    None when the slices are smaller than `_MIN_SIDE` or twice l, or when
-    the state has no last spectrum; otherwise `_plan_at` reads the plan
-    from that spectrum.  A spectrum known only to within its slack that
-    does not settle the plan is first replaced by the exact one.
+    None when the slices are smaller than `_MIN_SIDE` or twice l, when the
+    state has no last spectrum, or when that spectrum keeps more than
+    l - `_SPARE` values or predicts more than `_POWER_CAP` steps.  The rank
+    k is guessed per slice from the last spectrum at this tau; a slice that
+    keeps nothing must still resolve its top value, so k >= 1 there.
+    rho = sigma_l / sigma_k is taken at the worst slice, and the warm start
+    counts as one step, so q steps leave an error of about rho^(2q+3).
     """
     l = (0 if state.v is None else state.v.shape[2]) + _OVERSAMPLE
-    if min(shape[1:]) < max(_MIN_SIDE, 2 * l) or state.svals is None:
+    svals = state.svals
+    if min(shape[1:]) < max(_MIN_SIDE, 2 * l) or svals is None:
         return None
-    plan = _plan_at(state.svals, state.slack, tau, l)
-    if plan is _UNSURE:
-        state.leave(state.v, state.exact())
-        plan = _plan_at(state.svals, 0.0, tau, l)
-    return plan
-
-
-def _plan_at(svals, slack: float, tau: float, l: int):
-    """The plan that every spectrum within slack of svals gives, or _UNSURE.
-
-    None when the spectrum keeps more than l - `_SPARE` values or predicts
-    more than `_POWER_CAP` steps.  The rank k is guessed per slice from the
-    spectrum at this tau; a slice that keeps nothing must still resolve its
-    top value, so k >= 1 there.  rho = sigma_l / sigma_k is taken at the
-    worst slice, and the warm start counts as one step, so q steps leave an
-    error of about rho^(2q+3).  The steps grow with rho, so the plans at
-    the least and the largest rho the slack allows settle it.
-    """
-    lo, hi = svals - slack, svals + slack
-    kept = (lo > tau).sum(axis=1)
-    if (kept != (hi > tau).sum(axis=1)).any():
-        return _UNSURE
+    kept = (svals > tau).sum(axis=1)
     if kept.max() > l - _SPARE:
         return None
-    rows, top = np.arange(len(svals)), np.maximum(kept, 1) - 1
-    sigma_l = min(l, svals.shape[1]) - 1
-    if ((lo[rows, top] <= 0) & (hi[rows, top] > 0)).any():
-        return _UNSURE
-
-    def at(num, den):
-        rho = float((num[den > 0] / den[den > 0]).max(initial=0.0))
-        if rho >= 1.0:
-            return None
-        steps = 0 if rho == 0.0 else max(
-            0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
-        return (l, steps) if steps <= _POWER_CAP else None
-
-    plans = {at(lo[:, sigma_l], hi[rows, top]), at(hi[:, sigma_l], lo[rows, top])}
-    return plans.pop() if len(plans) == 1 else _UNSURE
+    top = svals[np.arange(len(svals)), np.maximum(kept, 1) - 1]
+    sigma_l = svals[:, min(l, svals.shape[1]) - 1]
+    rho = float((sigma_l[top > 0] / top[top > 0]).max(initial=0.0))
+    if rho >= 1.0:
+        return None
+    steps = 0 if rho == 0.0 else max(
+        0, math.ceil((math.log(_STEP_TARGET) / math.log(rho) - 3) / 2))
+    return (l, steps) if steps <= _POWER_CAP else None
 
 
 def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: int):
@@ -461,31 +425,25 @@ def _slice_norms(f: np.ndarray) -> np.ndarray:
 
 
 def _zero_rule(top_norm, spectrum, shape, tau: float, state: _SvtState,
-               slack: float = 0.0, exact=None):
+               slack: float = 0.0):
     """Whether an SVT call returns the exact zero: the norm test, then the
     singular values first (see the module docstring).
 
     top_norm is the largest slice Frobenius norm of the call's input,
     spectrum() gives its slices' singular values and shape is its stack's
-    shape; both values are those of the input to within slack, and exact()
-    computes the input's exact singular values.  True: a zero call, counted
-    and its spectrum (or None) left in the state.  False: the call needs an
-    SVD.  None: a value lies within slack of tau, and only the exact input
-    settles the call.
+    shape; both values are those of the input to within slack.  True: a
+    zero call, counted, which leaves no spectrum in the state.  False: the
+    call needs an SVD.  None: a value lies within slack of tau, and only
+    the exact input settles the call.
     """
-    if top_norm <= tau - slack:
-        state.leave(None, None)
-        state.paths["zero"] += 1
-        return True
-    if top_norm <= tau + slack:
-        return None
-    if (state.v is not None or not any(state.paths.values())
-            or _plan(shape, tau, state) is not None):
-        return False
-    svals = spectrum()
-    top = svals[:, 0].max()
+    top = top_norm
+    if top > tau + slack:
+        if (state.v is not None or not any(state.paths.values())
+                or _plan(shape, tau, state) is not None):
+            return False
+        top = spectrum()[:, 0].max()
     if top <= tau - slack:
-        state.leave(None, svals, slack, exact)
+        state.leave(None, None)
         state.paths["zero"] += 1
         return True
     return None if top <= tau + slack else False
@@ -495,9 +453,10 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
     The call takes the zero, truncated or full path of the module docstring
-    and leaves its kept right vectors and spectrum in the state for the
-    next call.  It raises NonFiniteValues, before any SVD, when a Fourier
-    slice holds NaN or Inf, as a solver's iterate does once it overflows.
+    and leaves its kept right vectors and spectrum (none after a zero call)
+    in the state for the next call.  It raises NonFiniteValues, before any
+    SVD, when a Fourier slice holds NaN or Inf, as a solver's iterate does
+    once it overflows.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
@@ -561,10 +520,10 @@ class _ScaledZero:
             self.svals, self.f = _svd(self.f, vectors=False), None
         return self.svals
 
-    def __call__(self, c: float, tau: float, state: _SvtState, exact_input) -> bool:
-        """True when this call, whose exact input exact_input() builds,
-        returns the exact zero: it is counted and leaves its spectrum in the
-        state as `_svt_freq` would.  False when it must run `_svt_freq`."""
+    def __call__(self, c: float, tau: float, state: _SvtState) -> bool:
+        """True when this call returns the exact zero: it is counted in the
+        state as `_svt_freq` would count it.  False when it must run
+        `_svt_freq` on its exact input."""
         _, n1, n2 = self.shape
         rounding = 4 * np.finfo(float).eps * (
             (self.calls + 4) * math.sqrt(self.n3) + n1 * n2)
@@ -573,7 +532,7 @@ class _ScaledZero:
         if not math.isfinite(slack):
             return False
         return bool(_zero_rule(c * self.top, lambda: c * self._spectrum(), self.shape, tau,
-                               state, slack, lambda: _svd(_rfft3(exact_input()), vectors=False)))
+                               state, slack))
 
 
 def svt(y: np.ndarray, tau: float) -> np.ndarray:

@@ -190,3 +190,25 @@ def test_random_streams_golden():
         assert _digest(tb.make_gaussian_map(m, dims, 7).a) == digest
     x = tb.rand_low_tubal(7, 5, 3, 2, seed=9)
     assert _digest(x) == "b8256b2106d401e62d1685b9399a4b55d4653054a23b6922588d7009e8b81163"
+
+
+def test_entry_points_take_nested_lists():
+    # a nested list of the right shape acts as its ndarray; a wrong shape
+    # still raises DimMismatch
+    mask = tb.make_bernoulli_mask((4, 3, 2), 0.6, seed=10)
+    gmap = tb.make_gaussian_map(12, (4, 3, 2), seed=11)
+    x = RNG.standard_normal((4, 3, 2))
+    for call in (tb.proj_omega, tb.proj_omega_c, tb.r_omega):
+        assert call(mask, x.tolist()).tobytes() == call(mask, x).tobytes()
+        with pytest.raises(DimMismatch):
+            call(mask, x[:3].tolist())
+    assert tb.apply_map(gmap, x.tolist()).tobytes() == tb.apply_map(gmap, x).tobytes()
+    with pytest.raises(DimMismatch):
+        tb.apply_map(gmap, x[:, :2].tolist())
+    m_obs = tb.proj_omega(mask, x)
+    cfg = tb.AdmmConfig(max_iter=5)
+    x1, r1 = tb.solve_completion(mask, m_obs.tolist(), cfg)
+    x2, r2 = tb.solve_completion(mask, m_obs, cfg)
+    assert x1.tobytes() == x2.tobytes() and r1.iterations == r2.iterations
+    with pytest.raises(DimMismatch):
+        tb.solve_completion(mask, m_obs[:3].tolist(), cfg)

@@ -429,9 +429,9 @@ def _spy_zero_rule(monkeypatch):
     calls = []
     rule = tsvd_module._zero_rule
 
-    def spy(top_norm, spectrum, shape, tau, state, slack=0.0, exact=None):
+    def spy(top_norm, spectrum, shape, tau, state, slack=0.0):
         read = []
-        zero = rule(top_norm, lambda: read.append(1) or spectrum(), shape, tau, state, slack, exact)
+        zero = rule(top_norm, lambda: read.append(1) or spectrum(), shape, tau, state, slack)
         calls.append((slack > 0, zero, bool(read)))
         return zero
 
@@ -444,8 +444,8 @@ def _spy_zero_rule(monkeypatch):
     ((20, 20, 5), 2, 1.0, {}),  # nothing unobserved
     ((12, 12, 4), None, 0.9, {}),  # full tubal rank
     ((20, 20, 5), 2, 0.7, {"max_iter": 3, "mu0": 1.0}),  # stopped at the cap, x nonzero
-    # a zero phase with singular-values-first zero calls, whose scaled
-    # spectrum the next call's plan reads (slices of at least _MIN_SIDE)
+    # a zero phase with singular-values-first zero calls, on slices of at
+    # least _MIN_SIDE; such a call leaves no spectrum for the next plan
     ((36, 36, 3), None, 0.5, {}),
 ])
 @pytest.mark.parametrize("record_history", [True, False])

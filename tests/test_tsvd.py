@@ -335,10 +335,10 @@ def test_svt_zero_path_is_exact():
     assert np.abs(tb.svt(y, tau)).max() == 0.0
 
 
-def test_svt_values_first_zero():
+def test_svt_values_first_zero(monkeypatch):
     # no slice keeps a singular value, but every slice's Frobenius norm is
     # above tau: after a call that kept no vectors the singular values alone
-    # give the zero and they stay as the last spectrum, as the full SVD's would
+    # give the zero, and a zero call leaves no spectrum in the state
     y = _rand((40, 36, 4), 93)
     tau = 1.01 * tb.spectral_norm(y)
     f = tsvd_module._rfft3(y)
@@ -348,7 +348,18 @@ def test_svt_values_first_zero():
     x, t = tsvd_module._svt_freq(y, tau, state)
     assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
     assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
-    assert state.v is None and np.array_equal(state.svals, tsvd_module._svd(f, vectors=False))
+    assert state.v is None and state.svals is None
+    # so a next call that keeps a value computes its values first again,
+    # then takes the full SVD: no sketch without a last spectrum
+    keep = 0.5 * tb.spectral_norm(y)
+    calls = []
+    svd = tsvd_module._svd
+    monkeypatch.setattr(tsvd_module, "_svd",
+                        lambda f, vectors=True: calls.append(vectors) or svd(f, vectors))
+    x, _ = tsvd_module._svt_freq(y, keep, state)
+    assert calls == [False, True]  # one values-only SVD, one full SVD
+    assert state.paths == {"zero": 2, "truncated": 0, "full": 1}
+    assert np.linalg.norm(x - _svt_slice_oracle(y, keep)) <= 1e-10 * np.linalg.norm(y)
 
 
 def test_svt_fresh_state_skips_values_first(monkeypatch):
@@ -401,32 +412,14 @@ def test_svt_stale_right_vectors(k_stale):
     assert sum(state.paths.values()) == 2
 
 
-def test_plan_of_a_spectrum_known_to_within_slack():
-    # one slice of 40 x 40: sigma_l / sigma_1 = 0.01 plans one power step
-    svals = np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01]])
+def test_plan_reads_the_last_spectrum():
+    # one slice of 40 x 40: no spectrum (a fresh state, or a zero last call)
+    # plans the full SVD; sigma_l / sigma_1 = 0.01 plans one power step
     shape = (1, 40, 40)
     state = tsvd_module._SvtState()
-    state.leave(None, svals)
+    assert tsvd_module._plan(shape, 1.0, state) is None
+    state.leave(None, np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01]]))
     assert tsvd_module._plan(shape, 1.0, state) == (8, 1)
-
-    def never():
-        raise AssertionError("the exact spectrum was not needed")
-
-    # a slack too small to change the plan leaves the spectrum as it is
-    state.leave(None, svals, 1e-6, never)
-    assert tsvd_module._plan(shape, 1.0, state) == (8, 1) and state.slack == 1e-6
-    # sigma_1 within the slack of tau, or sigma_l / sigma_1 within it of a
-    # step boundary, needs the exact spectrum, which then replaces it
-    boundary = svals.copy()
-    boundary[0, 7] = 2.0 * 1e-8 ** (1 / 5)  # rho^5 = _STEP_TARGET: q = 1 or 2
-    for values, tau, slack in [(svals, 1.9, 0.2), (boundary, 1.0, 1e-3)]:
-        assert tsvd_module._plan_at(values, slack, tau, 8) is tsvd_module._UNSURE
-        exact = values * (1 + 1e-2)
-        state.leave(None, values, slack, lambda: exact)
-        plan = tsvd_module._plan(shape, tau, state)
-        assert state.svals is exact and state.slack == 0.0 and state.exact is None
-        state.leave(None, exact)
-        assert tsvd_module._plan(shape, tau, state) == plan
 
 
 def test_slice_norms_match_numpy():
