@@ -23,6 +23,7 @@ from .errors import (
     NegativeThreshold,
     NonFiniteValues,
     SymmetryViolation,
+    TooLarge,
     TubalError,
     UnsupportedFormat,
     ZeroMeasurements,

@@ -25,7 +25,11 @@ class ZeroMeasurements(TubalError):
     """A measurement map was requested with m < 1."""
 
 
-class MapTooLarge(TubalError):
+class TooLarge(TubalError):
+    """An array would hold more values than the size rule allows."""
+
+
+class MapTooLarge(TooLarge):
     """Dense measurement matrix would exceed the memory guard."""
 
 

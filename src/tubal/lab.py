@@ -37,13 +37,14 @@ from .errors import (
     InvalidEpsilon,
     InvalidParameter,
     InvalidRank,
+    MapTooLarge,
     TubalError,
 )
 from .rng import derive_seed, normal_fill, substream
 from .sensing import _require_count, _require_rate, apply_map, make_bernoulli_mask
 from .sensing import make_gaussian_map
 from .solve import AdmmConfig, SolverReport, solve_completion, solve_gaussian
-from .tensor import _require_nonempty, _whole, ctranspose, tprod
+from .tensor import _require_nonempty, _require_size, _whole, ctranspose, tprod
 from .tsvd import TSvdFactors, tubal_rank
 
 
@@ -61,9 +62,11 @@ def rand_low_tubal(n1: int, n2: int, n3: int, r: int, seed: int,
     scale="unit" draws factor entries from N(0, 1); scale="inv_n" from
     N(0, 1/n) with n = max(n1, n2), the convention used for completion
     experiments.  The left factor is filled before the right one, each in
-    index order.
+    index order.  A tensor of more than `tensor._VALUE_LIMIT` entries
+    raises TooLarge before anything is drawn.
     """
     n1, n2, n3 = _require_nonempty((n1, n2, n3))
+    _require_size(n1 * n2 * n3, "tensor")
     r = _require_rank(r, n1, n2)
     if scale not in ("unit", "inv_n"):
         raise InvalidParameter(f"scale must be 'unit' or 'inv_n', got {scale!r}")
@@ -343,7 +346,8 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     ZeroMeasurements; a trial count, dimension or measurement count that is
     not a whole number, or a threshold that is negative or not finite,
     InvalidParameter; a rank that is not a whole number in
-    [1, min(n1, n2)] InvalidRank.
+    [1, min(n1, n2)] InvalidRank; a tensor, or a Gaussian map, of more than
+    `tensor._VALUE_LIMIT` values TooLarge (MapTooLarge for the map).
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
@@ -355,10 +359,13 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
     n1, n2, n3 = _require_nonempty(dims)
+    _require_size(n1 * n2 * n3, "tensor")
     if kind == "completion":
         for v in values:
             _require_rate(float(v))
     coords = [_coord(kind, v) for v in values]
+    if kind == "gaussian":
+        _require_size(max(coords) * n1 * n2 * n3, "dense map", MapTooLarge)
     ranks = [_require_rank(r, n1, n2) for r in ranks]  # 2.0 runs the trials of 2
     grid = PhaseGrid(kind=kind, dims=(n1, n2, n3), values=list(values),
                      ranks=ranks, trials=trials, base_seed=base_seed,

@@ -13,10 +13,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidRate, MapTooLarge, ZeroMeasurements
 from .rng import normal_fill, substream
-from .tensor import _require_nonempty, _whole, unvec, vec
-
-# Dense maps hold m*d doubles; reject anything past 2**28 values (2 GiB).
-_MAP_VALUE_LIMIT = 2 ** 28
+from .tensor import _require_nonempty, _require_size, _whole, unvec, vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +44,12 @@ def make_gaussian_map(m: int, dims, seed: int) -> GaussianMap:
 
     m must be a finite whole number >= 1 (else ZeroMeasurements or
     InvalidParameter); a whole float such as 40.0 draws the same map as 40.
+    A map of more than `tensor._VALUE_LIMIT` values raises MapTooLarge.
     """
     n1, n2, n3 = _require_nonempty(dims)
     m = _require_count(m)
     d = n1 * n2 * n3
-    if m * d > _MAP_VALUE_LIMIT:
-        raise MapTooLarge(f"dense map of {m} x {d} = {m * d} values exceeds {_MAP_VALUE_LIMIT}")
+    _require_size(m * d, f"dense map of {m} x {d}", MapTooLarge)
     gen = substream(seed, "gaussian-map", m, n1, n2, n3)
     a = normal_fill(gen, m * d)
     a /= np.sqrt(m)  # in place: the map is the largest array the package makes
@@ -96,8 +93,10 @@ def _require_rate(p):
 
 
 def make_bernoulli_mask(dims, p: float, seed: int) -> SampleMask:
-    """Observe each entry independently with probability p."""
+    """Observe each entry independently with probability p; TooLarge for a
+    mask of more than `tensor._VALUE_LIMIT` entries."""
     n1, n2, n3 = _require_nonempty(dims)
+    _require_size(n1 * n2 * n3, "mask")
     _require_rate(p)
     gen = substream(seed, "bernoulli-mask", n1, n2, n3, float(p))
     u = gen.random(n1 * n2 * n3)

@@ -59,10 +59,10 @@ While every SVT call of a completion solve has returned zero, x = 0 and
 the dual is the sum of mu_j b over the past iterations j < k, so the SVT
 input at iteration k is c P_Omega(b), c = 1 + sum_{j<k} mu_j / mu_k, up to
 rounding.  That zero phase (`tsvd._ScaledZero`) takes the SVT's zero
-decisions from one FFT of P_Omega(b) and at most one SVD of it, scaled by
-c, and builds no input; a call that the scaled values cannot settle
-within their rounding bound runs the SVT on its exact input and ends the
-phase.  A zero call returns exact zeros either way, so results are
+decisions from one FFT of P_Omega(b) and one SVD of it without vectors,
+scaled by c, and builds no input; a call that the scaled values do not
+settle within their rounding bound runs the SVT on its exact input and
+ends the phase.  A zero call returns exact zeros either way, so results are
 bitwise those of the plain loop.
 
 Both run the same loop, `_admm`, with penalty min(mu0 * rho^k, mu_max),

@@ -69,6 +69,7 @@ CPUs, and the n=100 Table-2 row and demo 05's phase grid run slower than
 with one BLAS thread (see README).
 """
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -86,11 +87,17 @@ from .errors import (
     LengthMismatch,
     NonFiniteValues,
     SymmetryViolation,
+    TooLarge,
 )
 
 # Relative tolerance for the imaginary residue discarded by the inverse
 # transform.
 IMAG_TOL = 1e-8
+
+# `_require_size` rejects an array of more than 2**28 values (2 GiB of
+# doubles) before it is allocated; the dense Gaussian map is the largest
+# array the package makes.
+_VALUE_LIMIT = 2 ** 28
 
 # bcirc/tprod_oracle materialize (n1*n3) x (n2*n3) matrices; they anchor
 # correctness tests and are not meant for production sizes.
@@ -248,6 +255,13 @@ def _require_nonempty(dims) -> tuple:
     if min(dims) < 1:
         raise EmptyTensor(f"tensor dimensions must be positive, got {dims}")
     return dims
+
+
+def _require_size(count: int, what: str, error=TooLarge):
+    """Raise error unless an array of count values stays within
+    `_VALUE_LIMIT`; callers check before they allocate."""
+    if count > _VALUE_LIMIT:
+        raise error(f"{what} of {count} values exceeds {_VALUE_LIMIT}")
 
 
 def _require_finite(a, what: str):
@@ -433,6 +447,7 @@ def ctranspose(a: np.ndarray) -> np.ndarray:
 def identity(n: int, n3: int) -> np.ndarray:
     """Identity tensor: first frontal slice is eye(n), all other slices zero."""
     n, _, n3 = _require_nonempty((n, n, n3))
+    _require_size(n * n * n3, "identity tensor")
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out
@@ -490,6 +505,7 @@ def unvec(arr: np.ndarray, dims) -> np.ndarray:
 def _unit(index, dims, what: str) -> np.ndarray:
     """Zero tensor of shape dims with a single 1 at index (0-based)."""
     dims = _require_nonempty(dims)
+    _require_size(math.prod(dims), "basis tensor")
     index = tuple(_whole(v, what) for v in index)
     if not all(0 <= v < n for v, n in zip(index, dims)):
         raise IndexOutOfRange(f"{what} {index} outside {dims}")

@@ -13,28 +13,23 @@ The SVT step (`_svt_freq`) soft-thresholds every slice at tau.  It takes a
 `_SvtState`: `solve._admm` keeps one for each solve of either solver, and
 `svt` passes a fresh one.  Each call takes one of three paths:
 
-- zero: one rule, `_zero_rule`, decides it.  When every slice's Frobenius
-  norm is at most tau, no singular value exceeds tau and the result is
-  exactly zero; no SVD runs.  When the call would take the full SVD and
-  the last call of the state kept no vectors (a zero call, or a call that
-  kept nothing), the singular values are computed first, without vectors;
-  if no slice's largest one exceeds tau the result is the same exact
-  zero.  Otherwise the call goes on to the full SVD, and the values were
-  spent for nothing.  A zero call leaves no spectrum, so the state only
-  ever holds the exact spectrum of a call that took an SVD.  A fresh state
-  (every public `svt` call, and the first call of a solve) skips this step
-  and goes straight to the full SVD, so a `svt` whose threshold keeps a
-  value costs one SVD, not two.  `_svt_freq` applies the rule to its
-  input; the zero phase of a completion solve (`_ScaledZero`) applies it
-  to scaled values known to within a rounding bound, and hands a call
-  that they cannot settle to `_svt_freq`;
+- zero: the result is exactly zero when no slice has a singular value
+  above tau (Cai, Candes & Shen, SIAM J. Optim. 2010).  The call is zero
+  when every slice's Frobenius norm is at most tau, and then no SVD runs;
+  or when the SVD it takes anyway, truncated or full, keeps no value.
+  Either way it is counted as zero and leaves nothing in the state, so the
+  state holds nothing or a kept rank k >= 1 with the spectrum of the call
+  that kept it, and a call never takes more than one SVD.  The zero phase
+  of a completion solve (`_ScaledZero`) settles zero calls from scaled
+  singular values known to within a rounding bound, and hands a call that
+  they do not settle to `_svt_freq`;
 - truncated: a randomized range finder (Halko, Martinsson & Tropp, SIAM
   Rev. 2011) on the test block [V_prev | G], with V_prev the right singular
   vectors the last call kept and G a fixed Gaussian block, followed by
   power steps and a Rayleigh-Ritz SVD of Q^H F;
 - full: the batched SVD, for slices smaller than `_MIN_SIDE` or twice the
-  sketch width, when there is no last spectrum (a fresh state, or a zero
-  last call), when the last spectrum predicts more than `_POWER_CAP` power
+  sketch width, when the state holds nothing (it is fresh, or the last
+  call was zero), when the last spectrum predicts more than `_POWER_CAP` power
   steps, or when the certificate still fails after them.
 
 One planner, `_plan`, reads the state and picks the path between a sketch
@@ -58,11 +53,12 @@ not rule out a tail singular value above tau that the sketch missed, and
 with a dense tail just under tau such a miss is common.  In ROADMAP item 1's
 probe (a 4th singular value just above tau over 10-49 tail values at
 0.80-0.94 tau), 22 of 200 draws took the truncated path and all 22 were
-wrong, with relative error up to 2.7e-3; item 1 is the fix.  Without the
-rule that a sketch needs a last spectrum, an 8-column cold sketch of a
-gapless spectrum can read its top value low by more than the margin and
-return zero for a slice whose sigma_1 exceeds tau (seen on fully observed
-36x36x3 Gaussian noise).
+wrong, with relative error up to 2.7e-3; item 1 is the fix.  A sketch
+always starts from the kept vectors of the last call: an 8-column cold
+sketch of a gapless spectrum can read its top value low by more than the
+margin and return zero for a slice whose sigma_1 exceeds tau (seen on fully
+observed 36x36x3 Gaussian noise), so a state that holds nothing plans the
+full SVD.
 G is drawn from a fixed substream keyed by the slice shape and width, so
 each call is a pure function of its input and the state, and solves replay
 bit for bit.
@@ -75,7 +71,7 @@ there is no separate conjugate kernel.  The slice norms, the
 certificate's residuals and the rebuild of the thresholded slices are
 numpy calls on the whole stack (the rebuild in batches), and the FFTs
 split by rows (see the `tensor` module docstring).
-The zero test, the plan, the all-slices certificate and `paths` stay in
+The norm test, the plan, the all-slices certificate and `paths` stay in
 the calling thread, and each slice gets the same LAPACK and BLAS calls
 for any chunking, so results do not depend on the worker count.
 
@@ -284,10 +280,11 @@ _MIN_SIDE = 32         # slices with a smaller side always take the full SVD
 class _SvtState:
     """What the SVT calls of one solve carry from one call to the next.
 
-    v: (h, n2, k) right singular vectors of the last call's kept columns, or
-    None; svals: (h, >= k) the leading singular (or Ritz) values it saw, or
-    None after a zero call; paths: calls per path.  A fresh state knows no
-    spectrum, so its first call takes the zero path or the full SVD.
+    It holds nothing (a fresh state, or after a zero call) or the last
+    call's kept rank k >= 1 with its spectrum: v (h, n2, k), the right
+    singular vectors of the kept columns, and svals (h, >= k), the leading
+    singular (or Ritz) values the call saw.  paths counts the calls per
+    path.  A state that holds nothing plans the full SVD.
     """
 
     def __init__(self):
@@ -300,6 +297,11 @@ class _SvtState:
         """Record the last call's kept right vectors and spectrum."""
         self.v, self.svals = v, svals
 
+    def zero(self):
+        """Count a zero call, which leaves nothing."""
+        self.leave(None, None)
+        self.paths["zero"] += 1
+
     def gauss(self, h: int, n1: int, n2: int, l: int) -> np.ndarray:
         """The fixed (h, n2, _OVERSAMPLE) complex Gaussian block for this slice shape and l."""
         key = (h, n1, n2, l)
@@ -311,7 +313,7 @@ class _SvtState:
 
 def _threshold(f, u, shr, v, n3: int) -> np.ndarray:
     """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) v^H,
-    with k the columns of v, or the exact zero when v is None.
+    with k >= 1 the columns of v.
 
     The slices are written into f, which u may view, in batches of
     `_SVD_BATCH` elements: one batched product of the kept left columns,
@@ -319,8 +321,6 @@ def _threshold(f, u, shr, v, n3: int) -> np.ndarray:
     every slice gets the BLAS call that one product of the whole stack
     makes for it, and only a batch's factors are copied.
     """
-    if v is None:
-        return np.zeros(f.shape[1:] + (n3,))
     k = v.shape[2]
     batch = max(1, _SVD_BATCH // max(1, f[0].size))
     for i in range(0, len(f), batch):
@@ -351,17 +351,20 @@ def _plan(shape, tau: float, state: _SvtState):
     """(l, steps): the width of a warm sketch of a stack of this shape and
     the power steps it starts with, or None for the full SVD.
 
-    None when the slices are smaller than `_MIN_SIDE` or twice l, when the
-    state has no last spectrum, or when that spectrum keeps more than
-    l - `_SPARE` values or predicts more than `_POWER_CAP` steps.  The rank
-    k is guessed per slice from the last spectrum at this tau; a slice that
-    keeps nothing must still resolve its top value, so k >= 1 there.
-    rho = sigma_l / sigma_k is taken at the worst slice, and the warm start
-    counts as one step, so q steps leave an error of about rho^(2q+3).
+    None when the state holds nothing, when the slices are smaller than
+    `_MIN_SIDE` or twice l, or when the last spectrum keeps more than
+    l - `_SPARE` values at this tau or predicts more than `_POWER_CAP`
+    steps.  The rank k is guessed per slice from the last spectrum at this
+    tau; a slice that keeps nothing must still resolve its top value, so
+    k >= 1 there.  rho = sigma_l / sigma_k is taken at the worst slice, and
+    the warm start counts as one step, so q steps leave an error of about
+    rho^(2q+3).
     """
-    l = (0 if state.v is None else state.v.shape[2]) + _OVERSAMPLE
+    if state.v is None:
+        return None
+    l = state.v.shape[2] + _OVERSAMPLE
     svals = state.svals
-    if min(shape[1:]) < max(_MIN_SIDE, 2 * l) or svals is None:
+    if min(shape[1:]) < max(_MIN_SIDE, 2 * l):
         return None
     kept = (svals > tau).sum(axis=1)
     if kept.max() > l - _SPARE:
@@ -388,9 +391,7 @@ def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: i
     another step read every slice.
     """
     h, n1, n2 = f.shape
-    omega = state.gauss(h, n1, n2, l)
-    if state.v is not None:
-        omega = np.concatenate([state.v, omega], axis=2)
+    omega = np.concatenate([state.v, state.gauss(h, n1, n2, l)], axis=2)
     q = np.empty((h, n1, l), dtype=complex)
     ub = np.empty((h, l, l), dtype=complex)
     s = np.empty((h, l))
@@ -424,39 +425,14 @@ def _slice_norms(f: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(rows, rows))
 
 
-def _zero_rule(top_norm, spectrum, shape, tau: float, state: _SvtState,
-               slack: float = 0.0):
-    """Whether an SVT call returns the exact zero: the norm test, then the
-    singular values first (see the module docstring).
-
-    top_norm is the largest slice Frobenius norm of the call's input,
-    spectrum() gives its slices' singular values and shape is its stack's
-    shape; both values are those of the input to within slack.  True: a
-    zero call, counted, which leaves no spectrum in the state.  False: the
-    call needs an SVD.  None: a value lies within slack of tau, and only
-    the exact input settles the call.
-    """
-    top = top_norm
-    if top > tau + slack:
-        if (state.v is not None or not any(state.paths.values())
-                or _plan(shape, tau, state) is not None):
-            return False
-        top = spectrum()[:, 0].max()
-    if top <= tau - slack:
-        state.leave(None, None)
-        state.paths["zero"] += 1
-        return True
-    return None if top <= tau + slack else False
-
-
 def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
     The call takes the zero, truncated or full path of the module docstring
-    and leaves its kept right vectors and spectrum (none after a zero call)
-    in the state for the next call.  It raises NonFiniteValues, before any
-    SVD, when a Fourier slice holds NaN or Inf, as a solver's iterate does
-    once it overflows.
+    and leaves its kept right vectors and spectrum (nothing after a zero
+    call) in the state for the next call.  It raises NonFiniteValues, before
+    any SVD, when a Fourier slice holds NaN or Inf, as a solver's iterate
+    does once it overflows.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
@@ -464,23 +440,23 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
     # the norm of finite entries above about 1e154 overflows too
     if not np.isfinite(norms).all() and not np.isfinite(f).all():
         raise NonFiniteValues("SVT input overflowed: a Fourier slice holds NaN or Inf")
-    if _zero_rule(norms.max(), lambda: _svd(f, vectors=False), f.shape, tau, state):
+    k = 0
+    if norms.max() > tau:  # else no singular value exceeds tau
+        plan = _plan(f.shape, tau, state)
+        factors = None if plan is None else _truncated_svd(f, tau, state, *plan)
+        path = "full" if factors is None else "truncated"
+        u, s, vh = factors or _svd(f)
+        shr = np.maximum(s - tau, 0.0)
+        k = int((shr > 0.0).sum(axis=1).max())
+    if not k:
+        state.zero()
         return np.zeros(y.shape), 0.0
-    plan = _plan(f.shape, tau, state)
-    factors = None if plan is None else _truncated_svd(f, tau, state, *plan)
-    path = "truncated"
-    if factors is None:
-        factors = _svd(f)
-        path = "full"
     state.paths[path] += 1
-    u, s, vh = factors
-    shr = np.maximum(s - tau, 0.0)
-    k = int((shr > 0.0).sum(axis=1).max())
     if path == "full" and k == vh.shape[1]:  # every column: conjugate V^H in place
         v = np.conj(vh, out=vh)
     else:  # a copy, since a view would keep all of V^H until the next call
-        v = vh[:, :k].conj() if k else None
-    state.leave(None if v is None else v.transpose(0, 2, 1), s)
+        v = vh[:, :k].conj()
+    state.leave(v.transpose(0, 2, 1), s)
     del factors, vh, v  # the rebuild reads the kept right vectors from the state
     return _threshold(f, u, shr, state.v, n3), float(_spectral_mean(shr, n3).sum())
 
@@ -495,30 +471,25 @@ class _ScaledZero:
     within rounding, for a known scalar c >= 1 per call.
 
     `solve_completion` runs one while every SVT call of the solve has
-    returned zero.  The norm test and the singular values first (the one
-    rule, `_zero_rule`) read c times the slice norms of base, taken from
-    one FFT, and c times its singular values, from at most one SVD without
-    vectors.  The input of call k differs from c * base by at most 2k + 8
-    roundings per entry; in a Fourier slice that is at most sqrt(n3) times
-    as much relative to the largest slice norm, and a computed slice norm
-    adds n1 * n2 roundings of its own.  Four times that bound, plus
-    `_SCALED_MARGIN`, times c times the largest slice norm of base, is the
-    slack of every scaled value.  A call whose scaled value lies within slack of tau, or
-    whose base has a non-finite norm, is not settled here: it runs
-    `_svt_freq` on its exact input, as does every later call.
+    returned zero.  It reads sigma, the largest singular value of base's
+    Fourier slices, once, from one FFT and one SVD without vectors, and
+    settles a call as zero iff c * sigma <= tau - slack.  The input of call
+    k differs from c * base by at most 2k + 8 roundings per entry; in a
+    Fourier slice that is at most sqrt(n3) times as much relative to the
+    largest slice norm, and a computed slice norm adds n1 * n2 roundings of
+    its own.  Four times that bound, plus `_SCALED_MARGIN`, times c times
+    the largest slice norm of base, is the slack.  A call that this test
+    does not settle runs `_svt_freq` on its exact input, as does every
+    later call; so does every call when base's slice norm is not finite,
+    for which no SVD runs, so that `_svt_freq` raises NonFiniteValues.
     """
 
     def __init__(self, base: np.ndarray):
-        self.f = _rfft3(base)
-        self.shape, self.n3 = self.f.shape, base.shape[2]
-        self.top = float(_slice_norms(self.f).max())
-        self.svals = None
+        f = _rfft3(base)
+        self.shape, self.n3 = f.shape, base.shape[2]
+        self.top = float(_slice_norms(f).max())
+        self.sigma = _svd(f, vectors=False)[:, 0].max() if math.isfinite(self.top) else math.inf
         self.calls = 0
-
-    def _spectrum(self) -> np.ndarray:
-        if self.svals is None:
-            self.svals, self.f = _svd(self.f, vectors=False), None
-        return self.svals
 
     def __call__(self, c: float, tau: float, state: _SvtState) -> bool:
         """True when this call returns the exact zero: it is counted in the
@@ -529,10 +500,10 @@ class _ScaledZero:
             (self.calls + 4) * math.sqrt(self.n3) + n1 * n2)
         self.calls += 1
         slack = c * self.top * (_SCALED_MARGIN + rounding)
-        if not math.isfinite(slack):
+        if not c * self.sigma <= tau - slack:  # also when slack is NaN
             return False
-        return bool(_zero_rule(c * self.top, lambda: c * self._spectrum(), self.shape, tau,
-                               state, slack))
+        state.zero()
+        return True
 
 
 def svt(y: np.ndarray, tau: float) -> np.ndarray:
@@ -540,9 +511,8 @@ def svt(y: np.ndarray, tau: float) -> np.ndarray:
 
     Minimizes tau*||x||_tnn + 0.5*||x - y||_F^2.  The 1/n3 factors in the
     norm and in Parseval's identity cancel, so each Fourier slice is
-    soft-thresholded by exactly tau.  A fresh state knows no spectrum, so
-    the result is the exact zero of the norm test or comes from the full
-    SVD.
+    soft-thresholded by exactly tau.  A fresh state holds nothing, so the
+    call takes one full SVD unless the norm test settles it as zero.
     """
     y = validate_tensor(y)
     _require_tubes(y)

@@ -35,6 +35,13 @@ def test_gen_rejects_zero_rank(tmp_path):
     assert main(["gen", "4", "4", "2", "0", "--out", str(tmp_path / "z")]) == 2
 
 
+def test_gen_rejects_a_tensor_past_the_size_rule(tmp_path):
+    # TooLarge before anything is drawn, not numpy's ValueError
+    out = tmp_path / "big"
+    assert main(["gen", "99999999999999999999", "3", "3", "1", "--out", str(out)]) == 2
+    assert not (out / "x0.t3").exists()
+
+
 def test_recover_flow(tmp_path):
     gen_out = tmp_path / "gen"
     assert main(["gen", "4", "4", "2", "1", "--seed", "3", "--out", str(gen_out)]) == 0
@@ -157,7 +164,6 @@ def test_info_nonfinite_tensor_is_usage_error(tmp_path):
     assert main(["info", str(path)]) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_complete_overflowing_iterate_is_usage_error(tmp_path):
     # finite data whose solve overflows exits 2, not with a LinAlgError
     tio.write_tensor(tmp_path / "big.t3", np.full((6, 6, 3), 1.7e308))

@@ -10,10 +10,31 @@ from tubal.errors import (
     InvalidParameter,
     InvalidRank,
     InvalidRate,
+    MapTooLarge,
+    TooLarge,
     ZeroMeasurements,
 )
 
 RNG = np.random.default_rng(5150)
+
+
+def test_size_rule_raises_before_allocating():
+    # 2**45 entries, or a 2**38-value map: every check raises before the
+    # array is made
+    big = (2 ** 15, 2 ** 15, 2 ** 15)
+    with pytest.raises(TooLarge):
+        tb.rand_low_tubal(*big, 1, 0)
+    with pytest.raises(TooLarge):
+        tb.make_bernoulli_mask(big, 0.5, 0)
+    with pytest.raises(TooLarge):
+        tb.phase_grid("completion", big, [0.5], [1], 1)
+    with pytest.raises(MapTooLarge):
+        tb.phase_grid("gaussian", (64, 64, 64), [10, 2 ** 20], [1], 1)
+    with pytest.raises(TooLarge):
+        tb.identity(2 ** 15, 2 ** 15)
+    with pytest.raises(TooLarge):
+        tb.unit_basis(0, 0, 0, big)
+    assert issubclass(MapTooLarge, TooLarge)
 
 
 def test_rand_low_tubal_rank_and_determinism():

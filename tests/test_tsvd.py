@@ -276,6 +276,8 @@ def _assert_matches_full_svt(y, tau, state):
     singular value, so x is compared at the scale of the input y.
     """
     x, t = tsvd_module._svt_freq(y, tau, state)
+    # the state holds nothing after a zero call, else a kept rank and its spectrum
+    assert (state.v is None) == (state.svals is None) == (not x.any())
     x_ref = _svt_slice_oracle(y, tau)
     t_ref = tb.tnn(x_ref)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(y)
@@ -335,46 +337,50 @@ def test_svt_zero_path_is_exact():
     assert np.abs(tb.svt(y, tau)).max() == 0.0
 
 
-def test_svt_values_first_zero(monkeypatch):
-    # no slice keeps a singular value, but every slice's Frobenius norm is
-    # above tau: after a call that kept no vectors the singular values alone
-    # give the zero, and a zero call leaves no spectrum in the state
-    y = _rand((40, 36, 4), 93)
-    tau = 1.01 * tb.spectral_norm(y)
-    f = tsvd_module._rfft3(y)
-    assert np.linalg.norm(f, axis=(1, 2)).min() > tau
-    state = tsvd_module._SvtState()
-    tsvd_module._svt_freq(y, 2.0 * np.linalg.norm(y), state)  # zero from the norms
-    x, t = tsvd_module._svt_freq(y, tau, state)
-    assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
-    assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
-    assert state.v is None and state.svals is None
-    # so a next call that keeps a value computes its values first again,
-    # then takes the full SVD: no sketch without a last spectrum
-    keep = 0.5 * tb.spectral_norm(y)
+def _spy_svd(monkeypatch):
+    """Record vectors=True/False for every call of tsvd._svd."""
     calls = []
     svd = tsvd_module._svd
     monkeypatch.setattr(tsvd_module, "_svd",
                         lambda f, vectors=True: calls.append(vectors) or svd(f, vectors))
+    return calls
+
+
+def test_svt_full_svd_that_keeps_nothing_is_zero(monkeypatch):
+    # no slice keeps a singular value, but every slice's Frobenius norm is
+    # above tau: the full SVD keeps nothing, and the call is a zero call,
+    # which leaves nothing in the state
+    y = _rand((40, 36, 4), 93)
+    tau, keep = 1.01 * tb.spectral_norm(y), 0.5 * tb.spectral_norm(y)
+    f = tsvd_module._rfft3(y)
+    assert np.linalg.norm(f, axis=(1, 2)).min() > tau
+    state = tsvd_module._SvtState()
+    calls = _spy_svd(monkeypatch)
+    tsvd_module._svt_freq(y, 2.0 * np.linalg.norm(y), state)  # zero from the norms
+    assert calls == []
+    x, t = tsvd_module._svt_freq(y, tau, state)
+    assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
+    assert calls == [True]
+    assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
+    assert state.v is None and state.svals is None
+    # so a next call that keeps a value takes the full SVD: no sketch
+    # without a last spectrum
     x, _ = tsvd_module._svt_freq(y, keep, state)
-    assert calls == [False, True]  # one values-only SVD, one full SVD
+    assert calls == [True, True]
     assert state.paths == {"zero": 2, "truncated": 0, "full": 1}
     assert np.linalg.norm(x - _svt_slice_oracle(y, keep)) <= 1e-10 * np.linalg.norm(y)
 
 
-def test_svt_fresh_state_skips_values_first(monkeypatch):
-    # a fresh state (every public svt call) goes straight to the full SVD:
-    # a threshold that keeps a value would otherwise pay for two SVDs
+def test_svt_call_makes_at_most_one_svd(monkeypatch):
+    # a fresh state (every public svt call) goes straight to the full SVD;
+    # at a tau above the spectral norm it keeps nothing, a zero call
     y = _rand((40, 36, 4), 93)
     taus = (0.5 * tb.spectral_norm(y), 1.01 * tb.spectral_norm(y))
-    calls = []
-    svd = tsvd_module._svd
-    monkeypatch.setattr(tsvd_module, "_svd",
-                        lambda f, vectors=True: calls.append(vectors) or svd(f, vectors))
-    for tau in taus:
+    calls = _spy_svd(monkeypatch)
+    for tau, path in zip(taus, ("full", "zero")):
         state = tsvd_module._SvtState()
         tsvd_module._svt_freq(y, tau, state)
-        assert state.paths == {"zero": 0, "truncated": 0, "full": 1}
+        assert state.paths == {"zero": 0, "truncated": 0, "full": 0} | {path: 1}
     assert calls == [True, True]  # one SVD, with vectors, per call
 
 
@@ -413,13 +419,15 @@ def test_svt_stale_right_vectors(k_stale):
 
 
 def test_plan_reads_the_last_spectrum():
-    # one slice of 40 x 40: no spectrum (a fresh state, or a zero last call)
-    # plans the full SVD; sigma_l / sigma_1 = 0.01 plans one power step
+    # one slice of 40 x 40: a state that holds nothing (a fresh state, or a
+    # zero last call) plans the full SVD; a kept rank of 1 with
+    # sigma_l / sigma_1 = 0.01 plans one power step of a 9-column sketch
     shape = (1, 40, 40)
     state = tsvd_module._SvtState()
     assert tsvd_module._plan(shape, 1.0, state) is None
-    state.leave(None, np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02, 0.01]]))
-    assert tsvd_module._plan(shape, 1.0, state) == (8, 1)
+    state.leave(np.ones((1, 40, 1)),
+                np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.025, 0.02, 0.01]]))
+    assert tsvd_module._plan(shape, 1.0, state) == (9, 1)
 
 
 def test_slice_norms_match_numpy():
