@@ -29,20 +29,20 @@ The system is held on one lower-triangular grid of tiles of `_TILE` rows
 contiguous Fortran block.  A k x k system takes about (k^2 + k * _TILE) / 2
 doubles instead of the k^2 of a dense array, of which LAPACK reads one
 triangle; with the m x d map, the Gaussian path holds m d + about d^2 / 2
-doubles.  The Gram writes every panel in place, and a right-looking tiled
-Cholesky factors the grid in place, from numpy calls alone: a left-looking
-blocked Cholesky of each diagonal tile, block forward substitution on the
-tiles below it, and products subtracted from the tiles right of it, in
-blocks of _TILE // 8 rows or columns, whose products are subtracted in
-strips of _TILE // 32 whole columns.  Each diagonal block of L holds its
-inverse, which the substitutions and the solves multiply by.  The Gram
-panels, and the tiles of each factor step, run on `tensor._parts` threads:
-numpy's matmul and linalg routines release the GIL while they run.  Their
-layout depends on the size alone, so the factor is bitwise the same for any
-CPU count.  Each iteration solves L L^T z = b (`_cho_solve`, through views
-of the grid built once per factor, `_blocks`) with one
-matrix-vector product per panel and triangle for the tiles left of the
-diagonal, and two per block of the diagonal tile.  That reads every tile
+doubles.  The Gram writes every panel in place, and one left-looking
+blocked Cholesky factors the whole grid in place, from numpy calls alone,
+one block column of _TILE // 8 columns at a time: every panel from the
+block's down subtracts its products with the columns left of the block, in
+strips of _TILE // 32 whole columns; the diagonal block is factored, and
+the rows below it are multiplied by its inverse's transpose.  Each diagonal
+block of L holds its inverse, which the factor and the solves multiply by.
+The Gram, and each step of the factor, run one task per panel on
+`tensor._parts` threads: numpy's matmul and linalg routines release the
+GIL while they run.  Their layout depends on the size alone, so the factor
+is bitwise the same for any CPU count.  Each iteration solves L L^T z = b
+(`_cho_solve`, through views of the grid built once per factor, `_blocks`)
+with one matrix-vector product per panel and triangle for the tiles left of
+the diagonal, and two per block of the diagonal tile.  That reads every tile
 once per triangle, as two dtrsv calls on a dense factor do, and each
 diagonal block whole, so the solve is bound by memory bandwidth; it agrees
 with `scipy.linalg.cho_solve` to rounding.  No path of the package uses scipy.
@@ -88,12 +88,12 @@ from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 
 # Rows per tile of the Gaussian system's grid (`_factor`): the unit of its
-# storage and of the Gram's and the factor's split over the CPUs; the tile
-# kernels and the solves work in blocks of _TILE // 8 rows, and subtract
+# storage and of the Gram's and the factor's split over the CPUs; the
+# factor and the solves work in blocks of _TILE // 8 rows, and subtract
 # products in strips of _TILE // 32 columns.  At d = 4500 (the
 # n=30 Table-1 row), on 2 CPUs with one BLAS thread, the grid holds 93.9 MiB
-# (154.5 MiB dense), and the Gram and the factor took 1.53 s in 1024-row
-# tiles, 1.63 s in 512-row tiles, which hold 8 MiB less, and 1.78 s in
+# (154.5 MiB dense), and the Gram and the factor took 1.73 s in 1024-row
+# tiles, 1.95 s in 512-row tiles, which hold 8 MiB less, and 1.81 s in
 # 2048-row tiles, which hold 16 MiB more (medians of 5).  A system of at most
 # _TILE rows is one tile.
 _TILE = 1024
@@ -114,8 +114,8 @@ class AdmmConfig:
         if not 0 < self.mu0 <= self.mu_max < np.inf:
             raise InvalidSolverConfig(
                 f"need 0 < mu0 <= mu_max < inf, got {self.mu0}, {self.mu_max}")
-        if not self.eps > 0:
-            raise InvalidSolverConfig(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise InvalidSolverConfig(f"need 0 < eps < inf, got {self.eps}")
         self.max_iter = _whole(self.max_iter, "max_iter", InvalidSolverConfig)
         if self.max_iter < 1:
             raise InvalidSolverConfig(f"max_iter must be >= 1, got {self.max_iter}")
@@ -185,8 +185,8 @@ def _product(a: np.ndarray, b: np.ndarray, top: int = 0) -> np.ndarray:
     """a b^T from row top down, as a Fortran array with a's rows, zero above
     row top.
 
-    The tile kernels subtract it from a strip of whole Fortran columns of a
-    tile: numpy runs an elementwise operation on a view that is not
+    The factor subtracts it from a strip of whole Fortran columns of a
+    panel: numpy runs an elementwise operation on a view that is not
     contiguous through buffers of its own, which take memory and time.
     """
     out = np.zeros((len(a), len(b)), order="F")
@@ -194,19 +194,13 @@ def _product(a: np.ndarray, b: np.ndarray, top: int = 0) -> np.ndarray:
     return out
 
 
-def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray | None = None,
-              at: int = 0) -> None:
-    """c -= a b^T in place, in strips of _TILE // 32 whole columns, so that
-    each task holds one product of a quarter block beside the grid.  b None:
-    c is columns at.. of a diagonal tile, a is its own b from row at, and
-    each strip is updated from its own diagonal row down, which covers the
-    lower triangle."""
+def _subtract(c: np.ndarray, a: np.ndarray, b: np.ndarray, top: int) -> None:
+    """c -= a b^T in place from row top down, in strips of _TILE // 32 whole
+    columns, so that each task holds one product of a quarter block beside
+    the grid."""
     step = max(1, _TILE // 32)
     for p in range(0, c.shape[1], step):
-        if b is None:
-            c[:, p:p + step] -= _product(a, a[at + p:at + p + step], at + p)
-        else:
-            c[:, p:p + step] -= _product(a, b[p:p + step])
+        c[:, p:p + step] -= _product(a, b[p:p + step], top)
 
 
 def _multiply(x: np.ndarray, inv: np.ndarray) -> None:
@@ -216,36 +210,6 @@ def _multiply(x: np.ndarray, inv: np.ndarray) -> None:
     step = max(1, _TILE // 32)
     for p in reversed(range(0, x.shape[1], step)):
         x[:, p:p + step] = _product(x[:, :p + step], inv[p:p + step, :p + step])
-
-
-def _factor_tile(t: np.ndarray) -> None:
-    """Left-looking blocked Cholesky of a diagonal tile, in place.
-
-    Each block of _TILE // 8 columns subtracts its product with the columns
-    to its left, factors its diagonal block L_bb and multiplies the rows
-    below by inv(L_bb)^T.  No call reads L_bb again, so the block holds
-    inv(L_bb) in its place, with exact zeros above its diagonal, since the
-    substitutions and the solves multiply by the whole block.
-    """
-    step = _TILE // 8
-    for p in range(0, len(t), step):
-        q = p + step
-        if p:
-            _subtract(t[:, p:q], t[:, :p], at=p)
-        inv = np.tril(np.linalg.inv(np.linalg.cholesky(t[p:q, p:q])))
-        t[p:q, p:q] = inv
-        _multiply(t[q:, p:q], inv)
-
-
-def _lower_solve(diag: np.ndarray, t: np.ndarray) -> None:
-    """t = t L^-T in place, for the factored diagonal tile diag of L: block
-    forward substitution, one block of _TILE // 8 columns at a time."""
-    step = _TILE // 8
-    for p in range(0, len(diag), step):
-        q = p + step
-        if p:
-            _subtract(t[:, p:q], t[:, :p], diag[p:q, :p])
-        _multiply(t[:, p:q], diag[p:q, p:q])
 
 
 def _split(jobs, size: int) -> None:
@@ -278,21 +242,23 @@ def _factor(src: np.ndarray) -> list:
     lo..hi-1 of L up to column hi-1, and tile j of it, panel[:, lo_j:hi_j],
     is a contiguous Fortran block.  The diagonal tile also holds an upper
     triangle that no call reads, and each diagonal block of _TILE // 8 rows
-    holds inv(L_bb) in place of L_bb (`_factor_tile`).  A k x k system takes
+    holds inv(L_bb) in place of L_bb, with exact zeros above its diagonal,
+    since the solves multiply by the whole block.  A k x k system takes
     about (k^2 + k * _TILE) / 2 values.
 
     The Gram writes each panel through its C-ordered transpose: one matmul
     for the columns before lo, and one for the diagonal tile, which numpy
-    computes with dsyrk.  The factor is right-looking, one tile column j at
-    a time: `_factor_tile` on the diagonal tile, `_lower_solve` on each tile
-    below it, then each tile right of column j and on or below the diagonal
-    subtracts its product of two tiles of column j (`_subtract`).  The
-    panels of the Gram, and the tiles of each substitution and update step,
-    are independent tasks run by `_split`; a step waits for the last.  The
-    tiles are laid out from k alone, and each tile takes its updates in
-    the order of the steps, so L is bitwise the same for any CPU count.
-    Beside the grid, each task holds one product of a quarter block of
-    columns (`_subtract`, `_multiply`).
+    computes with dsyrk.  The factor is one left-looking blocked Cholesky
+    of the whole grid, one block column c0:c1 of _TILE // 8 columns at a
+    time: every panel from the block's down subtracts the product of its
+    columns left of c0 with rows c0:c1 of L (`_subtract`, from the block's
+    first row in its own panel), the diagonal block is factored and holds
+    its inverse, and the rows below it are multiplied by that inverse's
+    transpose (`_multiply`).  Each step is one task per panel, run by
+    `_split`; a step waits for the last.  The panels are laid out from k
+    alone, and each task computes the same bits on any thread, so L is
+    bitwise the same for any CPU count.  Beside the grid, each task holds
+    one product of a quarter block of columns.
     """
     k = src.shape[0]
     edges = [(lo, min(lo + _TILE, k)) for lo in range(0, k, _TILE)]
@@ -303,21 +269,21 @@ def _factor(src: np.ndarray) -> list:
         np.matmul(src[lo:hi], src[lo:hi].T, out=out[lo:])
         out[lo:].flat[:: hi - lo + 1] += 1.0
 
-    def tile(i, j):
-        lo, hi = edges[j]
-        return panels[i][:, lo:hi]
-
     with tensor._thread_scope():
         _split([(panel.size, partial(gram, lo, hi, panel.T))
                 for (lo, hi), panel in zip(edges, panels)], k * k)
-        for j in range(len(edges)):
-            _factor_tile(tile(j, j))
-            below = range(j + 1, len(edges))
-            _split([(len(panels[i]), partial(_lower_solve, tile(j, j), tile(i, j)))
-                    for i in below], k * k)
-            _split([(len(panels[i]) * len(panels[c]) * (1 if c == i else 2),
-                     partial(_subtract, tile(i, c), tile(i, j), None if c == i else tile(c, j)))
-                    for i in below for c in range(j + 1, i + 1)], k * k)
+        for i, (lo, hi) in enumerate(edges):
+            for c0 in range(lo, hi, _TILE // 8):
+                c1, top = min(c0 + _TILE // 8, hi), c0 - lo
+                rows = panels[i][top:top + c1 - c0]  # rows c0..c1-1 of L
+                if c0:
+                    _split([((len(panel) - t) * c0, partial(
+                        _subtract, panel[:, c0:c1], panel[:, :c0], rows[:, :c0], t))
+                            for t, panel in zip([top] + [0] * len(edges), panels[i:])], k * k)
+                inv = np.tril(np.linalg.inv(np.linalg.cholesky(rows[:, c0:c1])))
+                rows[:, c0:c1] = inv
+                below = [panels[i][top + c1 - c0:]] + panels[i + 1:]
+                _split([(len(x), partial(_multiply, x[:, c0:c1], inv)) for x in below], k * k)
     return panels
 
 

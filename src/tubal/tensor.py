@@ -39,7 +39,8 @@ SVT to reject, and no warning.  The SVD and the sketch of ``tsvd`` go
 through it by slices.  The Gaussian path splits
 three more kernels by the same rule: the map fill of ``rng.normal_fill``,
 in blocks of a fixed number of pairs, and the Gram product and the
-Cholesky factor of ``solve._factor``, in tiles of a fixed number of rows.
+Cholesky factor of ``solve._factor``, one task per panel of a fixed
+number of rows.
 ``_on_threads`` runs every split kernel: the first task in the calling
 thread and every other one on a thread of the open thread scope
 (``_thread_scope``), and every task writes its own part of a

@@ -69,7 +69,8 @@ def test_recover_m_zero_rejected(tmp_path):
 def test_recover_invalid_solver_settings_rejected(tmp_path):
     gen_out = tmp_path / "gen"
     main(["gen", "3", "3", "2", "1", "--out", str(gen_out)])
-    for flags in (["--rho", "1.0"], ["--max-iter", "0"], ["--mu-max", "inf"]):
+    for flags in (["--rho", "1.0"], ["--max-iter", "0"], ["--mu-max", "inf"],
+                  ["--eps", "inf"]):
         assert main(["recover", str(gen_out / "x0.t3"), "--m", "50", *flags,
                      "--out", str(tmp_path / "r")]) == 2
 

@@ -31,8 +31,9 @@ def test_config_validation():
         AdmmConfig(mu0=1.0, mu_max=0.5)
     with pytest.raises(InvalidSolverConfig):
         AdmmConfig(mu_max=float("inf"))
-    with pytest.raises(InvalidSolverConfig):
-        AdmmConfig(eps=0.0)
+    for eps in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidSolverConfig):
+            AdmmConfig(eps=eps)
     with pytest.raises(InvalidSolverConfig):
         AdmmConfig(max_iter=0)
     for max_iter in (2.5, float("nan"), float("inf")):
@@ -200,9 +201,12 @@ def test_triangular_solves_match_cho_solve(monkeypatch):
                     assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def test_factor_holds_half_the_system(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 6, 8])
+def test_factor_holds_half_the_system(monkeypatch, cpus):
     # the grid of a k x k system, k = 3T, holds (k^2 + k T) / 2 doubles, and
-    # no step copies a tile
+    # no step copies a tile, however many threads share a step
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
     tile = 128
     monkeypatch.setattr(solve_module, "_TILE", tile)
     k = 3 * tile
