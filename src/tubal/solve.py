@@ -379,7 +379,8 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
 
     def step(mu, svt_state):
         nonlocal x, z, lam2, at_zero
-        x_new, objective = _svt_freq(z - lam2 / mu, 1.0 / mu, svt_state)
+        v = z - lam2 / mu
+        x_new, objective = _svt_freq(v, 1.0 / mu, svt_state, out=v)
         if x_new.any():
             z_vec, res_feas = solve_z(vec(x_new))
         else:
@@ -435,7 +436,8 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
                 dual += mu * b
                 return x, 0.0, {"res_x": 0.0, "res_e": 0.0, "res_feas": feas0}
             zero_phase = None
-        x_new, objective = _svt_freq(svt_input(x, dual, mu), 1.0 / mu, svt_state)
+        v = svt_input(x, dual, mu)
+        x_new, objective = _svt_freq(v, 1.0 / mu, svt_state, out=v)
         gap = b - x_new.take(obs)
         dual += mu * gap
         x_old, x = x, x_new

@@ -319,10 +319,15 @@ def _rfft3(a: np.ndarray) -> np.ndarray:
     return f
 
 
-def _irfft3(f: np.ndarray, n3: int) -> np.ndarray:
-    """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2)."""
+def _irfft3(f: np.ndarray, n3: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2).
+
+    It is written into out, a C-contiguous float (n1, n2, n3) array that
+    does not overlap f, when one is given, and into a fresh array otherwise.
+    """
     h, n1, n2 = f.shape
-    out = np.empty((n1, n2, n3))
+    if out is None:
+        out = np.empty((n1, n2, n3))
     tubes = f.transpose(1, 2, 0)
 
     def task(lo, hi):

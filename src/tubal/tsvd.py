@@ -65,9 +65,9 @@ bit for bit.
 
 The LAPACK work runs slice-parallel through `tensor._sliced`: the SVD
 (`_svd`, with or without vectors) and one task per chunk for the sketch
-(its products, QR, power steps and Ritz SVD).  A chunk that takes a power
-step forms the conjugate transpose of its own slices inside its task;
-there is no separate conjugate kernel.  The slice norms, the
+(its products, QR, power steps and Ritz SVD).  A power step forms F^H Q
+as (Q^H F)^H, so a chunk holds no conjugate copy of its slices, only
+l x n2 and n1 x l temporaries per slice.  The slice norms, the
 certificate's residuals and the rebuild of the thresholded slices are
 numpy calls on the whole stack (the rebuild in batches), and the FFTs
 split by rows (see the `tensor` module docstring).
@@ -83,11 +83,13 @@ dropped; a call that keeps every column (k = min(n1, n2), as on full-rank
 data) conjugates V^H in place and keeps it instead, so no copy of it sits
 beside it.  The rebuild writes each thresholded slice,
 U_k diag(s_k - tau) V_k^H with the one k of the whole stack, back into F,
-for the inverse FFT to read.  So
-the call holds F, V^H and the output, besides its input, which its caller
-keeps alive until the call returns: on the n=100 Table-2 row, freeing the
-input before the SVD lowered the traced peak but multiplied the minor page
-faults by 13-15.
+for the inverse FFT to read.  So a full call holds F, V^H and the output
+beside its input, and a truncated call F, the sketch's factors and the
+output.  The caller keeps the input alive until the call returns (on the
+n=100 Table-2 row, freeing it before the SVD lowered the traced peak but
+multiplied the minor page faults by 13-15); a solver, which reads its
+input no more, passes it as the output array too, so the inverse FFT
+writes over it and the call allocates no output of its own.
 """
 
 import math
@@ -216,7 +218,7 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
 
     u = _irfft3(ub, n3)
     s = _irfft3(sb[:, :, None] * np.eye(k), n3)
-    v = _irfft3(vhb.conj().transpose(0, 2, 1), n3)
+    v = _irfft3(_adjoint(vhb), n3)
     return TSvdFactors(u=u, s=s, v=v, mode=mode)
 
 
@@ -311,9 +313,9 @@ class _SvtState:
         return self._gauss[key]
 
 
-def _threshold(f, u, shr, v, n3: int) -> np.ndarray:
+def _threshold(f, u, shr, v, n3: int, out) -> np.ndarray:
     """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) v^H,
-    with k >= 1 the columns of v.
+    with k >= 1 the columns of v, written into out as `_irfft3` does.
 
     The slices are written into f, which u may view, in batches of
     `_SVD_BATCH` elements: one batched product of the kept left columns,
@@ -325,8 +327,13 @@ def _threshold(f, u, shr, v, n3: int) -> np.ndarray:
     batch = max(1, _SVD_BATCH // max(1, f[0].size))
     for i in range(0, len(f), batch):
         np.matmul(u[i:i + batch, :, :k] * shr[i:i + batch, None, :k],
-                  v[i:i + batch].conj().transpose(0, 2, 1), out=f[i:i + batch])
-    return _irfft3(f, n3)
+                  _adjoint(v[i:i + batch]), out=f[i:i + batch])
+    return _irfft3(f, n3, out)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every slice of the stack a."""
+    return a.conj().transpose(0, 2, 1)
 
 
 def _orth(a: np.ndarray) -> np.ndarray:
@@ -342,7 +349,7 @@ def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     if k > l - _SPARE or (~kept & (s > _TAIL_MARGIN * tau)).any():
         return None
     u = q @ ub[:, :, :k]
-    r = np.abs(f @ vh[:, :k].conj().transpose(0, 2, 1) - u * s[:, None, :k]) ** 2
+    r = np.abs(f @ _adjoint(vh[:, :k]) - u * s[:, None, :k]) ** 2
     res = np.sqrt(np.where(kept[:, :k], r.sum(axis=1), 0.0).sum(axis=1))
     return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
@@ -388,7 +395,9 @@ def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: i
     values.  None hands the call to the full SVD (see the module
     docstring).  The sketch, its power steps and the Ritz SVD run
     slice-parallel; the rank, the certificate and the decision to take
-    another step read every slice.
+    another step read every slice.  A power step forms F^H Q as (Q^H F)^H,
+    so a chunk's temporaries are l x n2 or n1 x l per slice, never a copy
+    of F.
     """
     h, n1, n2 = f.shape
     omega = np.concatenate([state.v, state.gauss(h, n1, n2, l)], axis=2)
@@ -399,15 +408,15 @@ def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: i
     fresh, todo = True, steps
 
     def task(lo, hi):
-        # a fresh sketch, or the chunk's last basis; then todo power steps
+        # a fresh sketch, or the chunk's last basis; then todo power steps,
+        # each forming F^H Q as (Q^H F)^H, l x n2 per slice
         fc = f[lo:hi]
         qc = _orth(fc @ omega[lo:hi]) if fresh else q[lo:hi]
-        fh = fc.conj().transpose(0, 2, 1) if todo else None
         for _ in range(todo):
-            qc = _orth(fc @ _orth(fh @ qc))
+            qc = _orth(fc @ _orth(_adjoint(_adjoint(qc) @ fc)))
         q[lo:hi] = qc
         ub[lo:hi], s[lo:hi], vh[lo:hi] = np.linalg.svd(
-            q[lo:hi].conj().transpose(0, 2, 1) @ fc, full_matrices=False)
+            _adjoint(q[lo:hi]) @ fc, full_matrices=False)
 
     while True:
         _sliced(h, f.size, task)
@@ -425,14 +434,16 @@ def _slice_norms(f: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(rows, rows))
 
 
-def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
+def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
     The call takes the zero, truncated or full path of the module docstring
     and leaves its kept right vectors and spectrum (nothing after a zero
     call) in the state for the next call.  It raises NonFiniteValues, before
     any SVD, when a Fourier slice holds NaN or Inf, as a solver's iterate
-    does once it overflows.
+    does once it overflows.  The tensor is written into out, a C-contiguous
+    float array of y's shape, which may be y itself: the forward FFT has
+    read y before anything is written.  Without out it is a fresh array.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
@@ -450,7 +461,10 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
         k = int((shr > 0.0).sum(axis=1).max())
     if not k:
         state.zero()
-        return np.zeros(y.shape), 0.0
+        if out is None:
+            return np.zeros(y.shape), 0.0
+        out.fill(0.0)
+        return out, 0.0
     state.paths[path] += 1
     if path == "full" and k == vh.shape[1]:  # every column: conjugate V^H in place
         v = np.conj(vh, out=vh)
@@ -458,7 +472,7 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState):
         v = vh[:, :k].conj()
     state.leave(v.transpose(0, 2, 1), s)
     del factors, vh, v  # the rebuild reads the kept right vectors from the state
-    return _threshold(f, u, shr, state.v, n3), float(_spectral_mean(shr, n3).sum())
+    return _threshold(f, u, shr, state.v, n3, out), float(_spectral_mean(shr, n3).sum())
 
 
 # The relative margin of `_ScaledZero`'s tests, beyond the rounding bound it

@@ -325,12 +325,12 @@ def test_a_solve_that_raises_leaves_no_thread(monkeypatch):
     calls = []
     svt_freq = solve._svt_freq
 
-    def overflowing(y, tau, state):
+    def overflowing(y, tau, state, out=None):
         calls.append(tau)
         if len(calls) == 5:
             y = y.copy()
             y[0, 0, 0] = np.inf
-        return svt_freq(y, tau, state)
+        return svt_freq(y, tau, state, out=out)
 
     monkeypatch.setattr(solve, "_svt_freq", overflowing)
     started = _count_thread_starts(monkeypatch)

@@ -1,6 +1,8 @@
 """Spectral toolkit: factorization quality, norm identities, thresholding."""
 
+import copy
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubal as tb
+from tubal import tensor
 from tubal.errors import (
     EmptyTensor,
     InvalidParameter,
@@ -416,6 +419,59 @@ def test_svt_stale_right_vectors(k_stale):
     state.v = np.linalg.qr(v)[0]
     _assert_matches_full_svt(y, tau / 1.1, state)
     assert sum(state.paths.values()) == 2
+
+
+def _warm_svt(shape, noise):
+    """A rank-4 tensor plus noise, tau, and the state that a full call at
+    1.1 tau left: it plans a warm sketch at tau."""
+    n1, n2, n3 = shape
+    gen = np.random.default_rng(92)
+    y = tb.tprod(gen.standard_normal((n1, 4, n3)), gen.standard_normal((4, n2, n3)))
+    y = y + noise * gen.standard_normal(y.shape)
+    tau = 0.2 * tb.spectral_norm(y)
+    state = tsvd_module._SvtState()
+    tsvd_module._svt_freq(y, tau, state)
+    return y, tau / 1.1, state
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 6, 8])
+def test_truncated_svt_holds_one_spectrum(monkeypatch, cpus):
+    # two Fourier slices, so a chunk at 2-8 CPUs is one slice, and a chunk
+    # that held a conjugate copy of its slices during its power steps would
+    # add F / 2 (measured 1.95-2.6 F for the call).  Beside the spectrum F
+    # the call holds the sketch's l-column factors and then its output, half
+    # of F: measured 1.6 F
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", 0)
+    y, tau, state = _warm_svt((160, 160, 2), 0.3)
+    f_bytes = tsvd_module._rfft3(y).nbytes
+    assert tsvd_module._plan((2, 160, 160), tau, state)[1] > 0  # power steps
+    tracemalloc.start()
+    try:
+        tsvd_module._svt_freq(y, tau, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.paths["truncated"] == 1
+    assert peak <= 1.8 * f_bytes
+
+
+@pytest.mark.parametrize("path", ["zero", "truncated", "full"])
+def test_svt_out_is_written_over_the_input(path):
+    y, tau, state = _warm_svt((48, 40, 6), 1e-2)
+    if path == "zero":
+        tau = 2.0 * np.linalg.norm(y)
+    if path == "full":
+        state = tsvd_module._SvtState()
+    twin = copy.deepcopy(state)
+    x_ref, t_ref = tsvd_module._svt_freq(y, tau, twin)
+    v = y.copy()
+    x, t = tsvd_module._svt_freq(v, tau, state, out=v)
+    assert np.shares_memory(x, v) and x.tobytes() == x_ref.tobytes() and t == t_ref
+    assert state.paths == twin.paths and state.paths[path] == 1
+    y0 = y.copy()
+    tb.svt(y, tau)
+    assert y.tobytes() == y0.tobytes()
 
 
 def test_plan_reads_the_last_spectrum():
