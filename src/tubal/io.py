@@ -8,11 +8,17 @@ Mask files (.om): magic "OMG1", three u64 dims, the rate p as float64, the
 seed as u64, then the observation flags bit-packed in index order with the
 flag for entry t stored at bit (t mod 8) of byte (t // 8).
 
+The readers raise UnsupportedFormat for a header dim above
+`tensor._VALUE_LIMIT` and for a file shorter than its header says, before
+they read the payload; `read_mask` raises InvalidRate for a rate outside
+(0, 1], as `make_bernoulli_mask` does.
+
 CSV files use '.' as the decimal separator and 17 significant digits, so a
 written value round-trips to the exact double.
 """
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -20,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedFormat
-from .sensing import SampleMask
-from .tensor import _require_finite
+from .sensing import SampleMask, _require_rate
+from .tensor import _VALUE_LIMIT, _require_finite
 
 _T3_MAGIC = b"T3R1"
 _OM_MAGIC = b"OMG1"
@@ -34,6 +40,24 @@ def _read_exact(fh, path, nbytes: int) -> bytes:
         raise UnsupportedFormat(
             f"{path}: truncated, expected {nbytes} more bytes, found {remaining}")
     return fh.read(nbytes)
+
+
+def _read_file(path, magic: bytes, version: bytes, fmt: str, nbytes) -> tuple:
+    """The fields of a file that starts with magic and version, unpacked by
+    the struct format fmt, whose first three fields are the dims, and its
+    payload of nbytes(n1 * n2 * n3) bytes.  No written file holds a dim above
+    the size rule's limit, and numpy cannot shape one beside a zero dim."""
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if found != magic:
+            raise UnsupportedFormat(f"{path}: bad magic {found!r}, expected {magic!r}")
+        found = fh.read(len(version))
+        if found != version:
+            raise UnsupportedFormat(f"{path}: unsupported version {found!r}")
+        fields = struct.unpack(fmt, _read_exact(fh, path, struct.calcsize(fmt)))
+        if max(fields[:3]) > _VALUE_LIMIT:
+            raise UnsupportedFormat(f"{path}: dims {fields[:3]} exceed {_VALUE_LIMIT}")
+        return fields, _read_exact(fh, path, nbytes(math.prod(fields[:3])))
 
 
 def write_tensor(path, a: np.ndarray):
@@ -50,18 +74,10 @@ def write_tensor(path, a: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _T3_MAGIC:
-            raise UnsupportedFormat(f"{path}: bad magic {magic!r}, expected {_T3_MAGIC!r}")
-        version = fh.read(1)
-        if version != bytes([1]):
-            raise UnsupportedFormat(f"{path}: unsupported version {version!r}")
-        n1, n2, n3 = struct.unpack("<QQQ", _read_exact(fh, path, 24))
-        payload = _read_exact(fh, path, 8 * n1 * n2 * n3)
+    dims, payload = _read_file(path, _T3_MAGIC, bytes([1]), "<QQQ", lambda count: 8 * count)
     data = np.frombuffer(payload, dtype="<f8")
     _require_finite(data, f"{path}: tensor")
-    return np.ascontiguousarray(data.reshape((n1, n2, n3), order="F"))
+    return np.ascontiguousarray(data.reshape(dims, order="F"))
 
 
 def write_mask(path, mask: SampleMask):
@@ -76,18 +92,13 @@ def write_mask(path, mask: SampleMask):
 
 
 def read_mask(path) -> SampleMask:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _OM_MAGIC:
-            raise UnsupportedFormat(f"{path}: bad magic {magic!r}, expected {_OM_MAGIC!r}")
-        n1, n2, n3, p, seed = struct.unpack("<QQQdQ", _read_exact(fh, path, 40))
-        count = n1 * n2 * n3
-        packed = _read_exact(fh, path, (count + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                         bitorder="little")[:count]
-    observed = np.ascontiguousarray(
-        bits.astype(bool).reshape((n1, n2, n3), order="F"))
-    return SampleMask(dims=(n1, n2, n3), p=p, seed=seed, observed=observed)
+    (*dims, p, seed), packed = _read_file(path, _OM_MAGIC, b"", "<QQQdQ",
+                                          lambda count: (count + 7) // 8)
+    _require_rate(p)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=math.prod(dims),
+                         bitorder="little")
+    observed = np.ascontiguousarray(bits.astype(bool).reshape(dims, order="F"))
+    return SampleMask(dims=tuple(dims), p=p, seed=seed, observed=observed)
 
 
 def _read_pnm_int(fh) -> int:

@@ -11,18 +11,19 @@ pair t yields output 2t (cosine branch) and 2t+1 (sine branch); the final
 sine value is discarded when an odd count is requested.  The stream order is
 all npairs radius uniforms u1 first, then all npairs angle uniforms u2.
 `normal_fill` works in blocks of `_BLOCK` pairs, a layout fixed by the count
-alone, and writes each block's products straight into the output.  The
-serial fill draws all u1 from the generator, then each block's u2 in turn,
-so it holds the output, the radius and two block-sized buffers.  When
-`tensor._parts` splits the blocks over threads (Philox draws and the ufuncs
-release the GIL), block [lo, hi) draws its u1 from stream offset lo and its
-u2 from offset npairs + lo, each from its own copy of the Philox state moved
-there (`Philox.advance` plus at most three dropped draws), and the
-generator is then moved to the end of the fill, where the serial fill
-leaves it.  A generator on another bit generator is always filled
-serially.  Every deviate is the same function of its two uniforms wherever
-its block runs, so the result is bitwise the same for any CPU count, and
-equal to the unchunked transform's.
+alone, and writes each block's products straight into the output.  On a
+Philox generator, block [lo, hi) draws its u1 from stream offset lo and
+its u2 from offset npairs + lo, each from its own copy of the Philox state
+moved there (`Philox.advance` plus at most three dropped draws), so a fill
+holds the output and a few block-sized buffers; `tensor._sliced` runs the
+blocks inline or splits them over threads (Philox draws and the ufuncs
+release the GIL), and the generator is then moved to the end of the fill.
+Another bit generator cannot be moved ahead by a count of draws, so it is
+filled serially: all u1 from the generator, then each block's u2 in turn,
+which holds a radius array of npairs beside the output.  Every deviate is
+the same function of its two uniforms wherever its block runs, so the
+result is bitwise the same for any CPU count, and equal to the unchunked
+transform's.
 """
 
 import hashlib
@@ -98,13 +99,13 @@ def _box_muller(radius: np.ndarray, angle: np.ndarray, out: np.ndarray):
 def normal_fill(gen: np.random.Generator, count: int) -> np.ndarray:
     """`count` standard normal deviates via Box-Muller, in documented order.
 
-    gen is left where the serial fill leaves it, however many threads ran.
+    gen is left 2 * ceil(count / 2) uniforms further on, however many
+    threads ran.
     """
     npairs = (count + 1) // 2
     out = np.empty(2 * npairs)
     starts = range(0, npairs, _BLOCK)
-    if (not isinstance(gen.bit_generator, np.random.Philox)
-            or tensor._parts(len(starts), count) == 1):
+    if not isinstance(gen.bit_generator, np.random.Philox):
         radius = gen.random(npairs)
         for start in starts:
             stop = min(start + _BLOCK, npairs)

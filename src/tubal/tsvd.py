@@ -78,18 +78,19 @@ for any chunking, so results do not depend on the worker count.
 A full-path call stores its factors in place.  The SVD writes each
 batch's left vectors U (n1 x min(n1, n2) per slice, which fits in the
 n1 x n2 slice) over the spectrum F, so no stack of them sits beside F.
-The state keeps a conjugate copy of the k kept right vectors and V^H is
-dropped; a call that keeps every column (k = min(n1, n2), as on full-rank
-data) conjugates V^H in place and keeps it instead, so no copy of it sits
-beside it.  The rebuild writes each thresholded slice,
-U_k diag(s_k - tau) V_k^H with the one k of the whole stack, back into F,
-for the inverse FFT to read.  So a full call holds F, V^H and the output
-beside its input, and a truncated call F, the sketch's factors and the
-output.  The caller keeps the input alive until the call returns (on the
-n=100 Table-2 row, freeing it before the SVD lowered the traced peak but
-multiplied the minor page faults by 13-15); a solver, which reads its
-input no more, passes it as the output array too, so the inverse FFT
-writes over it and the call allocates no output of its own.
+The state keeps the k kept rows of V^H, in the orientation the SVD
+returns them: a copy, since a view would keep all of V^H until the next
+call, or V^H itself when every row is kept (k = min(n1, n2), as on
+full-rank data), so no copy of V^H sits beside it.  The rebuild writes
+each thresholded slice, U_k diag(s_k - tau) V_k^H with the one k of the
+whole stack, back into F, for the inverse FFT to read.  So a full call
+holds F, V^H and the output beside its input, and a truncated call F, the
+sketch's factors and the output.  The caller keeps the input alive until
+the call returns (on the n=100 Table-2 row, freeing it before the SVD
+lowered the traced peak but multiplied the minor page faults by 13-15); a
+solver, which reads its input no more, passes it as the output array too,
+so the inverse FFT writes over it and the call allocates no output of its
+own.
 """
 
 import math
@@ -102,6 +103,7 @@ from .errors import InvalidParameter, NegativeThreshold, NonFiniteValues
 from .rng import substream
 from .tensor import (
     _irfft3,
+    _require_finite,
     _require_tubes,
     _rfft3,
     _sliced,
@@ -148,15 +150,19 @@ def _svd(f: np.ndarray, vectors: bool = True):
     return (f[:, :, :k], s, vh) if vectors else s
 
 
-def _slice_svals(a: np.ndarray) -> np.ndarray:
-    """Per-slice singular values, shape (h, min(n1, n2))."""
-    return _svd(_rfft3(a), vectors=False)
+def _slice_svd(a: np.ndarray, vectors: bool = False):
+    """`_svd` of every Fourier slice of a, by default the singular values
+    only.  NonFiniteValues, before any SVD sees them, when the slices
+    overflow, as the FFT of entries near the float limit does."""
+    f = _rfft3(a)
+    _require_finite(f, "the spectrum of the tensor")
+    return _svd(f, vectors)
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Tensor singular values s(i, i, 1), non-increasing, length min(n1, n2)."""
     a = validate_tensor(a)
-    return _spectral_mean(_slice_svals(a), a.shape[2])
+    return _spectral_mean(_slice_svd(a), a.shape[2])
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def tsvd(a: np.ndarray, mode: str = "full", k: int | None = None,
         raise InvalidParameter(f"component count k must be >= 0, got {k}")
     _require_rel_tol(rank_tol)
     n1, n2, n3 = a.shape
-    ub, sb, vhb = _svd(_rfft3(a))
+    ub, sb, vhb = _slice_svd(a, vectors=True)
 
     if mode == "skinny":
         if k is None:
@@ -249,7 +255,7 @@ def tnn(a: np.ndarray) -> float:
 
 def spectral_norm(a: np.ndarray) -> float:
     """Largest spectral norm over the Fourier slices (= block-circulant 2-norm)."""
-    sv = _slice_svals(validate_tensor(a))
+    sv = _slice_svd(validate_tensor(a))
     return float(sv[:, 0].max()) if sv.size else 0.0
 
 
@@ -262,7 +268,7 @@ def avg_rank(a: np.ndarray, rel_tol: float = 1e-6) -> float:
     """
     _require_rel_tol(rel_tol)
     a = validate_tensor(a)
-    sv = _slice_svals(a)
+    sv = _slice_svd(a)
     top = sv.max(initial=0.0)
     if top == 0.0:
         return 0.0
@@ -283,21 +289,21 @@ class _SvtState:
     """What the SVT calls of one solve carry from one call to the next.
 
     It holds nothing (a fresh state, or after a zero call) or the last
-    call's kept rank k >= 1 with its spectrum: v (h, n2, k), the right
-    singular vectors of the kept columns, and svals (h, >= k), the leading
+    call's kept rank k >= 1 with its spectrum: vh (h, k, n2), the kept rows
+    of V^H, as the SVD returns them, and svals (h, >= k), the leading
     singular (or Ritz) values the call saw.  paths counts the calls per
     path.  A state that holds nothing plans the full SVD.
     """
 
     def __init__(self):
-        self.v = None
+        self.vh = None
         self.svals = None
         self.paths = {"zero": 0, "truncated": 0, "full": 0}
         self._gauss = {}
 
-    def leave(self, v, svals):
-        """Record the last call's kept right vectors and spectrum."""
-        self.v, self.svals = v, svals
+    def leave(self, vh, svals):
+        """Record the last call's kept rows of V^H and spectrum."""
+        self.vh, self.svals = vh, svals
 
     def zero(self):
         """Count a zero call, which leaves nothing."""
@@ -313,21 +319,22 @@ class _SvtState:
         return self._gauss[key]
 
 
-def _threshold(f, u, shr, v, n3: int, out) -> np.ndarray:
-    """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) v^H,
-    with k >= 1 the columns of v, written into out as `_irfft3` does.
+def _threshold(f, u, shr, vh, n3: int, out) -> np.ndarray:
+    """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) vh,
+    with k >= 1 the rows of the C-ordered stack vh, written into out as
+    `_irfft3` does.
 
     The slices are written into f, which u may view, in batches of
     `_SVD_BATCH` elements: one batched product of the kept left columns,
-    scaled, with the kept right vectors as C-ordered k x n2 blocks, so
-    every slice gets the BLAS call that one product of the whole stack
-    makes for it, and only a batch's factors are copied.
+    scaled, with the kept rows of V^H, so every slice gets the BLAS call
+    that one product of the whole stack makes for it, and only a batch's
+    left columns are copied.
     """
-    k = v.shape[2]
+    k = vh.shape[1]
     batch = max(1, _SVD_BATCH // max(1, f[0].size))
     for i in range(0, len(f), batch):
         np.matmul(u[i:i + batch, :, :k] * shr[i:i + batch, None, :k],
-                  _adjoint(v[i:i + batch]), out=f[i:i + batch])
+                  vh[i:i + batch], out=f[i:i + batch])
     return _irfft3(f, n3, out)
 
 
@@ -341,9 +348,10 @@ def _orth(a: np.ndarray) -> np.ndarray:
 
 
 def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
-    """The kept triplets (u, s, vh) of a sketch if they pass the certificate of
-    the module docstring, else None.  q holds the sketch's orthonormal basis
-    and ub, s, vh the SVD of Q^H F."""
+    """The kept left vectors u of a sketch, with its l Ritz values s and
+    rows vh, if they pass the certificate of the module docstring, else
+    None.  q holds the sketch's orthonormal basis and ub, s, vh the SVD of
+    Q^H F."""
     kept = s > tau
     k = int(kept.sum(axis=1).max())
     if k > l - _SPARE or (~kept & (s > _TAIL_MARGIN * tau)).any():
@@ -351,7 +359,7 @@ def _certified_triplets(f, q, ub, s, vh, tau: float, l: int):
     u = q @ ub[:, :, :k]
     r = np.abs(f @ _adjoint(vh[:, :k]) - u * s[:, None, :k]) ** 2
     res = np.sqrt(np.where(kept[:, :k], r.sum(axis=1), 0.0).sum(axis=1))
-    return (u, s, vh[:, :k]) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
+    return (u, s, vh) if (res <= _RESIDUAL_TOL * s[:, 0]).all() else None
 
 
 def _plan(shape, tau: float, state: _SvtState):
@@ -367,9 +375,9 @@ def _plan(shape, tau: float, state: _SvtState):
     the warm start counts as one step, so q steps leave an error of about
     rho^(2q+3).
     """
-    if state.v is None:
+    if state.vh is None:
         return None
-    l = state.v.shape[2] + _OVERSAMPLE
+    l = state.vh.shape[1] + _OVERSAMPLE
     svals = state.svals
     if min(shape[1:]) < max(_MIN_SIDE, 2 * l):
         return None
@@ -387,20 +395,20 @@ def _plan(shape, tau: float, state: _SvtState):
 
 
 def _truncated_svd(f: np.ndarray, tau: float, state: _SvtState, l: int, steps: int):
-    """Kept singular triplets (u, s, vh) of every slice from a warm sketch, or None.
+    """Singular triplets (u, s, vh) of every slice from a warm sketch, or None.
 
     The sketch of width l starts with the planned number of power steps
     and takes one more at a time, up to `_POWER_CAP`, while the certificate
-    fails.  u holds only the columns some slice keeps; s holds all l Ritz
-    values.  None hands the call to the full SVD (see the module
-    docstring).  The sketch, its power steps and the Ritz SVD run
+    fails.  u holds only the columns some slice keeps; s and vh hold all
+    l Ritz values and rows.  None hands the call to the full SVD (see the
+    module docstring).  The sketch, its power steps and the Ritz SVD run
     slice-parallel; the rank, the certificate and the decision to take
     another step read every slice.  A power step forms F^H Q as (Q^H F)^H,
     so a chunk's temporaries are l x n2 or n1 x l per slice, never a copy
     of F.
     """
     h, n1, n2 = f.shape
-    omega = np.concatenate([state.v, state.gauss(h, n1, n2, l)], axis=2)
+    omega = np.concatenate([_adjoint(state.vh), state.gauss(h, n1, n2, l)], axis=2)
     q = np.empty((h, n1, l), dtype=complex)
     ub = np.empty((h, l, l), dtype=complex)
     s = np.empty((h, l))
@@ -438,7 +446,7 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
     The call takes the zero, truncated or full path of the module docstring
-    and leaves its kept right vectors and spectrum (nothing after a zero
+    and leaves its kept rows of V^H and spectrum (nothing after a zero
     call) in the state for the next call.  It raises NonFiniteValues, before
     any SVD, when a Fourier slice holds NaN or Inf, as a solver's iterate
     does once it overflows.  The tensor is written into out, a C-contiguous
@@ -466,13 +474,9 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
         out.fill(0.0)
         return out, 0.0
     state.paths[path] += 1
-    if path == "full" and k == vh.shape[1]:  # every column: conjugate V^H in place
-        v = np.conj(vh, out=vh)
-    else:  # a copy, since a view would keep all of V^H until the next call
-        v = vh[:, :k].conj()
-    state.leave(v.transpose(0, 2, 1), s)
-    del factors, vh, v  # the rebuild reads the kept right vectors from the state
-    return _threshold(f, u, shr, state.v, n3, out), float(_spectral_mean(shr, n3).sum())
+    state.leave(vh if k == vh.shape[1] else vh[:, :k].copy(), s)
+    del factors, vh  # the rebuild reads the kept rows of V^H from the state
+    return _threshold(f, u, shr, state.vh, n3, out), float(_spectral_mean(shr, n3).sum())
 
 
 # The relative margin of `_ScaledZero`'s tests, beyond the rounding bound it

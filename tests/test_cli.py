@@ -1,13 +1,16 @@
 """Command-line surface: subcommand flows, exit codes, manifest replay."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tubal as tb
-from tubal import cli, lab
+from tubal import cli, lab, tensor
 from tubal import io as tio
 from tubal.cli import main
 
@@ -170,6 +173,67 @@ def test_complete_overflowing_iterate_is_usage_error(tmp_path):
     tio.write_tensor(tmp_path / "big.t3", np.full((6, 6, 3), 1.7e308))
     assert main(["complete", str(tmp_path / "big.t3"), "--p", "0.5", "--max-iter", "60",
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def _header(magic, dims, tail=b""):
+    return magic + np.array(dims, dtype="<u8").tobytes() + tail
+
+
+def test_complete_rejects_a_mask_file_with_nan_rate(tmp_path):
+    tio.write_tensor(tmp_path / "x.t3", np.ones((2, 2, 2)))
+    om = tmp_path / "m.om"
+    om.write_bytes(_header(b"OMG1", (2, 2, 2), np.array([np.nan]).tobytes() + bytes(8) + b"\xff"))
+    out = tmp_path / "out"
+    assert main(["complete", str(tmp_path / "x.t3"), "--mask", str(om), "--out", str(out)]) == 2
+    assert not (out / "mask.om").exists()
+
+
+def test_info_of_a_tensor_whose_spectrum_overflows_is_usage_error(tmp_path):
+    # finite entries whose FFT overflows exit 2, not with a LinAlgError
+    tio.write_tensor(tmp_path / "big.t3", np.full((1, 1, 4), 1e308))
+    assert main(["info", str(tmp_path / "big.t3")]) == 2
+
+
+_HEADER_DIM = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 2 ** 28 + 1, 2 ** 40, 2 ** 64 - 1])
+_HEADER_DIMS = (st.tuples(_HEADER_DIM, _HEADER_DIM, _HEADER_DIM)
+                | st.tuples(*[st.integers(1, 6)] * 3))  # files a solve can read
+
+
+@settings(max_examples=100)
+# a rate in (0, 1] about half the time, so that some files reach a solve
+@given(dims=_HEADER_DIMS, mask_dims=st.none() | _HEADER_DIMS,
+       p=st.sampled_from([0.5, 1.0]) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 2.0]),
+       value=st.sampled_from([1.0, -2.5, 0.0, np.nan]),
+       damage=st.just((None, 0)) | st.tuples(st.sampled_from(["t3", "om"]), st.integers(-9, 9)))
+# headers numpy cannot shape, on the tensor (read by both commands) and on the mask
+@example(dims=(2 ** 40, 2 ** 40, 0), mask_dims=None, p=0.5, value=1.0, damage=(None, 0))
+@example(dims=(4, 4, 2), mask_dims=(2 ** 62, 4, 0), p=0.5, value=1.0, damage=(None, 0))
+@example(dims=(4, 4, 2), mask_dims=None, p=0.5, value=1.0, damage=(None, 0))
+def test_file_headers_exit_with_a_code(dims, mask_dims, p, value, damage):
+    # every .t3 and .om header, with its payload truncated or extended, read
+    # by `info` and `complete --mask`, ends in an exit code, never an
+    # exception, and a header dim past the size rule is a usage error.  A
+    # payload is written for tiny dims only, and the readers check a file's
+    # length before they read it, so no draw allocates more than its file
+    mask_dims = mask_dims or dims
+
+    def payload(dims, nbytes, fill, kind):
+        size = nbytes(int(np.prod(dims))) if max(dims) <= 6 else 0
+        size += damage[1] if damage[0] == kind else 0
+        return (fill * size)[:size]
+
+    t3 = payload(dims, lambda count: 8 * count, np.array([value]).tobytes(), "t3")
+    om = payload(mask_dims, lambda count: (count + 7) // 8, b"\x5a", "om")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "x.t3").write_bytes(_header(b"T3R1\x01", dims, t3))
+        (tmp / "m.om").write_bytes(_header(b"OMG1", mask_dims,
+                                           np.array([p]).tobytes() + bytes(8) + om))
+        codes = (2,) if max(dims) > tensor._VALUE_LIMIT else (0, 2, 3, 4)
+        assert main(["info", str(tmp / "x.t3")]) in codes
+        codes = (2,) if max(dims + mask_dims) > tensor._VALUE_LIMIT else codes
+        assert main(["complete", str(tmp / "x.t3"), "--mask", str(tmp / "m.om"),
+                     "--max-iter", "5", "--out", str(tmp / "out")]) in codes
 
 
 def test_info_identity(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import tubal as tb
 from tubal import io as tio
-from tubal.errors import NonFiniteValues, UnsupportedFormat
+from tubal.errors import InvalidRate, NonFiniteValues, UnsupportedFormat
 
 RNG = np.random.default_rng(90210)
 
@@ -55,14 +55,30 @@ def test_truncated_and_oversized_files(tmp_path):
     huge = good[:5] + np.array([2 ** 40, 1, 1], dtype="<u8").tobytes() + good[29:]
     om = tmp_path / "m.om"
     tio.write_mask(om, tb.make_bernoulli_mask((5, 4, 3), 0.4, seed=17))
+    # headers alone: a zero dim asks for no payload, but numpy cannot shape these dims
+    headers = [np.array(dims, dtype="<u8").tobytes()
+               for dims in [(2 ** 40, 2 ** 40, 0), (2 ** 62, 4, 0), (0, 2 ** 28 + 1, 1)]]
     for path, data, reader in [(t3, good[:-3], tio.read_tensor),
                                (t3, good[:20], tio.read_tensor),
                                (t3, huge, tio.read_tensor),
                                (om, om.read_bytes()[:-2], tio.read_mask),
-                               (om, om.read_bytes()[:30], tio.read_mask)]:
+                               (om, om.read_bytes()[:30], tio.read_mask),
+                               *[(t3, good[:5] + dims, tio.read_tensor) for dims in headers],
+                               *[(om, om.read_bytes()[:4] + dims + om.read_bytes()[28:44],
+                                  tio.read_mask) for dims in headers]]:
         path.write_bytes(data)
         with pytest.raises(UnsupportedFormat):
             reader(path)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.0, -0.5, 1.5])
+def test_mask_file_rate_outside_unit_interval(tmp_path, p):
+    path = tmp_path / "m.om"
+    tio.write_mask(path, tb.make_bernoulli_mask((2, 2, 2), 0.5, seed=3))
+    data = path.read_bytes()
+    path.write_bytes(data[:28] + np.array([p], dtype="<f8").tobytes() + data[36:])
+    with pytest.raises(InvalidRate):
+        tio.read_mask(path)
 
 
 def test_mask_file_round_trip(tmp_path):

@@ -12,6 +12,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,8 +196,16 @@ def _fill_outputs(count, used):
     (2 * rng._BLOCK + 3, rng._BLOCK),  # two blocks of the shipped size
 ])
 def test_normal_fill_bitwise_for_any_cpu_count(monkeypatch, count, block, used):
-    monkeypatch.setattr(rng, "_BLOCK", 2 * count)  # one block: the serial fill on gen itself
-    serial = _fill_outputs(count, used)
+    # the reference draws every uniform from gen in stream order, not from
+    # states moved ahead as the blocks draw theirs
+    gen = tb.substream(8, "fill", count)
+    gen.random(used)
+    npairs = (count + 1) // 2
+    u = gen.random(2 * npairs)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:npairs]))
+    angle = 2.0 * np.pi * u[npairs:]
+    expected = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()
+    serial = expected[:count].tobytes(), gen.random(5).tobytes()
     monkeypatch.setattr(rng, "_BLOCK", block)
     for cpus in (1, 2, 3):
         assert _with_workers(monkeypatch, cpus, lambda: _fill_outputs(count, used)) == serial
@@ -222,6 +231,21 @@ def test_gram_triangle_bitwise_for_any_cpu_count(monkeypatch, m, d):
         low[lo:lo + step, lo:lo + step] = np.linalg.inv(low[lo:lo + step, lo:lo + step])
     exact = src @ src.T + np.eye(k)
     assert np.abs(low @ low.T - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_normal_fill_on_one_cpu_holds_no_radius_array(monkeypatch):
+    # the blocks run inline: beside the output a fill holds a few
+    # block-sized buffers, not a radius uniform for every pair (1.5 outputs)
+    monkeypatch.setattr(rng, "_BLOCK", 1024)
+    count = 100_000
+    gen = tb.substream(8, "fill", count)
+    tracemalloc.start()
+    try:
+        _with_workers(monkeypatch, 1, lambda: tb.normal_fill(gen, count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * count
 
 
 def test_normal_fill_of_another_bit_generator_is_serial(monkeypatch):

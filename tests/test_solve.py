@@ -258,10 +258,9 @@ def test_completion_holds_no_stack_of_left_vectors(monkeypatch):
 
 def test_full_rank_completion_holds_no_copy_of_right_vectors(monkeypatch):
     # every Fourier slice of the data is one orthogonal matrix, so each SVT
-    # call that is not zero keeps every column of every slice.  The state
-    # then keeps V^H itself, conjugated in place: measured 9.5 tensors of
-    # n1 n2 n3 doubles; a conjugate copy of V^H beside it adds 0.7 (10.3
-    # measured)
+    # call that is not zero keeps every row of V^H of every slice.  The
+    # state then keeps V^H itself: measured 9.5 tensors of n1 n2 n3
+    # doubles; a conjugate copy of V^H beside it adds 0.7 (10.3 measured)
     monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
     monkeypatch.setattr(tsvd_module, "_SVD_BATCH", 1)
     dims = (30, 30, 8)

@@ -280,7 +280,7 @@ def _assert_matches_full_svt(y, tau, state):
     """
     x, t = tsvd_module._svt_freq(y, tau, state)
     # the state holds nothing after a zero call, else a kept rank and its spectrum
-    assert (state.v is None) == (state.svals is None) == (not x.any())
+    assert (state.vh is None) == (state.svals is None) == (not x.any())
     x_ref = _svt_slice_oracle(y, tau)
     t_ref = tb.tnn(x_ref)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(y)
@@ -365,7 +365,7 @@ def test_svt_full_svd_that_keeps_nothing_is_zero(monkeypatch):
     assert np.array_equal(x, np.zeros(y.shape)) and t == 0.0
     assert calls == [True]
     assert state.paths == {"zero": 2, "truncated": 0, "full": 0}
-    assert state.v is None and state.svals is None
+    assert state.vh is None and state.svals is None
     # so a next call that keeps a value takes the full SVD: no sketch
     # without a last spectrum
     x, _ = tsvd_module._svt_freq(y, keep, state)
@@ -416,7 +416,7 @@ def test_svt_stale_right_vectors(k_stale):
     _assert_matches_full_svt(y, tau, state)
     # right vectors of the wrong rank and unrelated to y
     v = gen.standard_normal((4, 40, k_stale)) + 1j * gen.standard_normal((4, 40, k_stale))
-    state.v = np.linalg.qr(v)[0]
+    state.vh = tsvd_module._adjoint(np.linalg.qr(v)[0])
     _assert_matches_full_svt(y, tau / 1.1, state)
     assert sum(state.paths.values()) == 2
 
@@ -481,7 +481,7 @@ def test_plan_reads_the_last_spectrum():
     shape = (1, 40, 40)
     state = tsvd_module._SvtState()
     assert tsvd_module._plan(shape, 1.0, state) is None
-    state.leave(np.ones((1, 40, 1)),
+    state.leave(np.ones((1, 1, 40)),
                 np.array([[2.0, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03, 0.025, 0.02, 0.01]]))
     assert tsvd_module._plan(shape, 1.0, state) == (9, 1)
 
