@@ -11,17 +11,18 @@ The package has two levels of parallelism, and ``tensor._split`` picks
 one from a trial's dims.  When it splits the trial's half-spectrum stack,
 the trials run one after another, and each splits its kernels by the
 package's one rule (``tensor._parts``): the FFTs, the SVD, the sketch,
-the normal fills and a Gaussian trial's Gram product run on slice
+the normal fills and a Gaussian trial's Gram and factor run on slice
 threads, which a solve starts once and joins before it returns, and a
 split call outside a solve starts and joins itself (see the ``tensor``
 module docstring).  Otherwise ``_run_trials`` runs the trials
 themselves on a fork-context ``multiprocessing.Pool`` of one process per
-CPU in the affinity mask, read at each call, and a worker splits no kernel
-(``tensor._trial_process``), so it starts no thread: a Gaussian trial
-there draws its map and forms its Gram on one CPU.  Each worker holds its
-own trial in memory, so a driver's peak memory grows to about one trial
-per worker; the calling process's ``ru_maxrss`` leaves the workers out
-(they count under ``RUSAGE_CHILDREN``).
+CPU in the affinity mask, read at each call, whose initializer,
+``tensor._trial_worker``, makes a worker split no kernel, so it starts no
+thread: a Gaussian trial there draws its map and forms its Gram on one
+CPU.  Each worker holds its own trial in memory, so a driver's peak
+memory grows to about one trial per worker; the calling process's
+``ru_maxrss`` leaves the workers out (they count under
+``RUSAGE_CHILDREN``).
 """
 
 import math
@@ -148,6 +149,10 @@ def proj_t_perp(factors: TSvdFactors, z: np.ndarray) -> np.ndarray:
 
 def rel_error(xhat: np.ndarray, x0: np.ndarray) -> float:
     """Relative Frobenius error ||xhat - x0||_F / ||x0||_F (inf on zero x0)."""
+    # scaled exactly, by a power of two, to entries below 1, so that no square
+    # of an entry or of a difference overflows
+    e = math.frexp(max(np.abs(xhat).max(initial=0.0), np.abs(x0).max(initial=0.0)))[1]
+    xhat, x0 = np.ldexp(xhat, -e), np.ldexp(x0, -e)
     num = float(np.linalg.norm(xhat - x0))
     den = float(np.linalg.norm(x0))
     if den == 0.0:
@@ -230,18 +235,13 @@ def _trial(spec) -> dict:
             "iterations": report.iterations, "converged": report.converged}
 
 
-def _trial_worker():
-    """Pool initializer: a trial on a worker process splits no kernel."""
-    tensor._trial_process = True
-
-
 def _run_trials(specs) -> list:
     """_trial(spec) for every spec, in order.
 
     A fork-context pool of min(tensor._cpu_count(), len(specs)) processes
     runs them, and is terminated before this returns, when there are at least
     two trials and two CPUs and tensor._split splits no trial's stack (see
-    the module docstring); no worker splits a kernel (_trial_worker).
+    the module docstring); no worker splits a kernel (tensor._trial_worker).
     Otherwise, or when no process can be started, they run in the calling
     process; a pool that fails to start a worker
     terminates and joins the ones it started.  An outcome depends only on
@@ -258,7 +258,7 @@ def _run_trials(specs) -> list:
     if workers < 2 or not hasattr(os, "fork") or any(tensor._split(spec[1]) for spec in specs):
         return [_trial(spec) for spec in specs]
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers, _trial_worker)
+        pool = multiprocessing.get_context("fork").Pool(workers, tensor._trial_worker)
     except OSError:  # fork's EAGAIN or ENOMEM: no process to spare
         return [_trial(spec) for spec in specs]
     with pool:
@@ -347,7 +347,8 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
     not a whole number, or a threshold that is negative or not finite,
     InvalidParameter; a rank that is not a whole number in
     [1, min(n1, n2)] InvalidRank; a tensor, or a Gaussian map, of more than
-    `tensor._VALUE_LIMIT` values TooLarge (MapTooLarge for the map).
+    `tensor._VALUE_LIMIT` values, or more trials than that in the grid,
+    TooLarge (MapTooLarge for the map).
     """
     if kind not in ("gaussian", "completion"):
         raise InvalidParameter(f"kind must be 'gaussian' or 'completion', got {kind!r}")
@@ -356,6 +357,7 @@ def phase_grid(kind: str, dims, values, ranks, trials: int, base_seed: int = 0,
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     if not values or not ranks:
         raise InvalidParameter("axis lists must be nonempty")
+    _require_size(trials * len(values) * len(ranks), "trial list")
     if not 0 <= threshold < math.inf:  # also rejects NaN
         raise InvalidParameter(f"threshold must be a finite number >= 0, got {threshold}")
     n1, n2, n3 = _require_nonempty(dims)

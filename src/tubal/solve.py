@@ -11,9 +11,10 @@ lam1 += mu (A z - y).  That dual needs no storage: A^T lam1 starts at
 zero, and after each iteration A^T lam1 + mu (A^T A z - A^T y) =
 lam2 + mu (x - z) = vec(lam2) of the next iteration, so A^T t + v =
 A^T y + vec(x) exactly, and z depends on x alone.  The solver keeps no
-lam1, and every iteration whose SVT call returned zero (x = 0) reuses the
-z of the first.  The map A is m x d; the system is factored once, on one
-of two paths chosen by its shape:
+lam1.  It solves for z at x = 0 once, before the first iteration, and
+every iteration whose SVT call returned zero reuses that z.  The map A is
+m x d; the system is factored once, on one of two paths chosen by its
+shape:
 
 - m >= d (direct): Cholesky of A^T A + I, and z = (A^T A + I)^-1
   (A^T y + vec(x)) with A^T y formed once, so the iterations make no pass
@@ -36,10 +37,10 @@ block's down subtracts its products with the columns left of the block, in
 strips of _TILE // 32 whole columns; the diagonal block is factored, and
 the rows below it are multiplied by its inverse's transpose.  Each diagonal
 block of L holds its inverse, which the factor and the solves multiply by.
-The Gram, and each step of the factor, run one task per panel on
-`tensor._parts` threads: numpy's matmul and linalg routines release the
-GIL while they run.  Their layout depends on the size alone, so the factor
-is bitwise the same for any CPU count.  Each iteration solves L L^T z = b
+The Gram, and each step of the factor, run one task per panel, dealt out
+to the threads by cost (`tensor._balanced`): numpy's matmul and linalg
+routines release the GIL while they run.  Their layout depends on the
+size alone, so the factor is bitwise the same for any CPU count.  Each iteration solves L L^T z = b
 (`_cho_solve`, through views of the grid built once per factor, `_blocks`)
 with one matrix-vector product per panel and triangle for the tiles left of
 the diagonal, and two per block of the diagonal tile.  That reads every tile
@@ -83,7 +84,7 @@ import numpy as np
 from . import tensor
 from .errors import DimMismatch, InvalidSolverConfig
 from .sensing import GaussianMap, SampleMask, _check_mask_dims
-from .tensor import _require_finite, _require_nonempty, _whole, unvec, vec
+from .tensor import _balanced, _require_finite, _require_nonempty, _whole, unvec, vec
 from .tsvd import _ScaledZero, _SvtState, _svt_freq
 
 
@@ -212,29 +213,6 @@ def _multiply(x: np.ndarray, inv: np.ndarray) -> None:
         x[:, p:p + step] = _product(x[:, :p + step], inv[p:p + step, :p + step])
 
 
-def _split(jobs, size: int) -> None:
-    """Run the (cost, task) jobs, each task() once, on tensor._parts threads.
-
-    Largest cost first, each job goes to the thread with the least cost so
-    far.  Every job writes its own tiles, so where it runs never changes
-    what it computes.
-    """
-    if not jobs:
-        return
-    parts = tensor._parts(len(jobs), size)
-    shares, loads = [[] for _ in range(parts)], [0] * parts
-    for cost, task in sorted(jobs, key=lambda job: -job[0]):
-        i = loads.index(min(loads))
-        shares[i].append(task)
-        loads[i] += cost
-    tensor._on_threads([partial(_run_each, share) for share in shares])
-
-
-def _run_each(tasks) -> None:
-    for task in tasks:
-        task()
-
-
 def _factor(src: np.ndarray) -> list:
     """The lower Cholesky factor L of src @ src.T + I, as a tile grid.
 
@@ -255,9 +233,10 @@ def _factor(src: np.ndarray) -> list:
     first row in its own panel), the diagonal block is factored and holds
     its inverse, and the rows below it are multiplied by that inverse's
     transpose (`_multiply`).  Each step is one task per panel, run by
-    `_split`; a step waits for the last.  The panels are laid out from k
-    alone, and each task computes the same bits on any thread, so L is
-    bitwise the same for any CPU count.  Beside the grid, each task holds
+    `tensor._balanced`; a step waits for the last, and outside a solver's
+    thread scope each step starts and joins threads of its own.  The
+    panels are laid out from k alone, and each task computes the same bits
+    on any thread, so L is bitwise the same for any CPU count.  Beside the grid, each task holds
     one product of a quarter block of columns.
     """
     k = src.shape[0]
@@ -269,21 +248,20 @@ def _factor(src: np.ndarray) -> list:
         np.matmul(src[lo:hi], src[lo:hi].T, out=out[lo:])
         out[lo:].flat[:: hi - lo + 1] += 1.0
 
-    with tensor._thread_scope():
-        _split([(panel.size, partial(gram, lo, hi, panel.T))
-                for (lo, hi), panel in zip(edges, panels)], k * k)
-        for i, (lo, hi) in enumerate(edges):
-            for c0 in range(lo, hi, _TILE // 8):
-                c1, top = min(c0 + _TILE // 8, hi), c0 - lo
-                rows = panels[i][top:top + c1 - c0]  # rows c0..c1-1 of L
-                if c0:
-                    _split([((len(panel) - t) * c0, partial(
-                        _subtract, panel[:, c0:c1], panel[:, :c0], rows[:, :c0], t))
-                            for t, panel in zip([top] + [0] * len(edges), panels[i:])], k * k)
-                inv = np.tril(np.linalg.inv(np.linalg.cholesky(rows[:, c0:c1])))
-                rows[:, c0:c1] = inv
-                below = [panels[i][top + c1 - c0:]] + panels[i + 1:]
-                _split([(len(x), partial(_multiply, x[:, c0:c1], inv)) for x in below], k * k)
+    _balanced([(panel.size, partial(gram, lo, hi, panel.T))
+               for (lo, hi), panel in zip(edges, panels)], k * k)
+    for i, (lo, hi) in enumerate(edges):
+        for c0 in range(lo, hi, _TILE // 8):
+            c1, top = min(c0 + _TILE // 8, hi), c0 - lo
+            rows = panels[i][top:top + c1 - c0]  # rows c0..c1-1 of L
+            if c0:
+                _balanced([((len(panel) - t) * c0, partial(
+                    _subtract, panel[:, c0:c1], panel[:, :c0], rows[:, :c0], t))
+                           for t, panel in zip([top] + [0] * len(edges), panels[i:])], k * k)
+            inv = np.tril(np.linalg.inv(np.linalg.cholesky(rows[:, c0:c1])))
+            rows[:, c0:c1] = inv
+            below = [panels[i][top + c1 - c0:]] + panels[i + 1:]
+            _balanced([(len(x), partial(_multiply, x[:, c0:c1], inv)) for x in below], k * k)
     return panels
 
 
@@ -375,18 +353,14 @@ def solve_gaussian(gmap: GaussianMap, y: np.ndarray, cfg: AdmmConfig | None = No
     x = np.zeros(dims)
     z = np.zeros(dims)
     lam2 = np.zeros(dims)
-    at_zero = None  # solve_z at x = 0, the z of every zero SVT call
+    # the z of every zero SVT call; the first call thresholds v = 0
+    at_zero = solve_z(vec(x))
 
     def step(mu, svt_state):
-        nonlocal x, z, lam2, at_zero
+        nonlocal x, z, lam2
         v = z - lam2 / mu
         x_new, objective = _svt_freq(v, 1.0 / mu, svt_state, out=v)
-        if x_new.any():
-            z_vec, res_feas = solve_z(vec(x_new))
-        else:
-            if at_zero is None:
-                at_zero = solve_z(np.zeros(x_new.size))
-            z_vec, res_feas = at_zero
+        z_vec, res_feas = solve_z(vec(x_new)) if x_new.any() else at_zero
         z_new = unvec(z_vec, dims)
         lam2 = lam2 + mu * (x_new - z_new)
         residuals = {

@@ -29,37 +29,35 @@ split call (``_cpu_count``), so a mask narrowed after import
 ceil(quota / period), read at each call as well.  One rule, ``_parts``,
 decides how many threads share a kernel: one per CPU, at most one per
 independent piece, and one thread for a kernel of fewer than
-``_PARALLEL_MIN`` elements.  ``_sliced`` splits an axis into one
-contiguous chunk per thread, and runs a kernel that the rule leaves whole
-inline.  The FFTs go through it by rows: each chunk is one ``numpy.fft``
-call (the pocketfft code that ``scipy.fft`` runs, bit for bit) that
-writes its rows of a C-ordered output with ``out=``, under
-``np.errstate``, so an input that overflows yields inf or NaN, for the
-SVT to reject, and no warning.  The SVD and the sketch of ``tsvd`` go
-through it by slices.  The Gaussian path splits
-three more kernels by the same rule: the map fill of ``rng.normal_fill``,
-in blocks of a fixed number of pairs, and the Gram product and the
+``_PARALLEL_MIN`` elements.  Two runners apply it, and each runs a kernel
+that the rule leaves whole inline.  ``_sliced`` splits an axis into one
+contiguous chunk per thread.  The FFTs go through it by rows: each chunk
+is one ``numpy.fft`` call (the pocketfft code that ``scipy.fft`` runs,
+bit for bit) that writes its rows of a C-ordered output with ``out=``,
+under ``np.errstate``, so an input that overflows yields inf or NaN, for
+the SVT to reject, and no warning.  The SVD and the sketch of ``tsvd`` go
+through it by slices, and the map fill of ``rng.normal_fill`` in blocks
+of a fixed number of pairs.  ``_balanced`` deals tasks of known cost out
+to the threads, largest first: the Gram product and each step of the
 Cholesky factor of ``solve._factor``, one task per panel of a fixed
 number of rows.
 ``_on_threads`` runs every split kernel: the first task in the calling
 thread and every other one on a thread of the open thread scope
 (``_thread_scope``), and every task writes its own part of a
 preallocated output.  Each solver of ``solve`` runs in one scope, set-up
-included, and ``solve._factor``, called alone, opens one for its Gram and
-factor: the first split call
-starts its threads, every later call in the scope reuses them, and they
-are joined when the scope returns or raises.  A split call outside a scope
-is a scope of its own.  So threads live for one solve at most, and the
-package holds none between calls: a forked child (the ``lab`` trial
-workers, or a user's) inherits none.  Every other kernel is one numpy call
-on the whole array.  When no trial's half-spectrum stack
-is split (``_split``), the experiment drivers run whole trials on
-processes instead, and in a trial process the rule splits nothing
-(``_trial_process``; see the ``lab`` module docstring).  The pieces of a
-kernel are laid out from its size alone, and a piece computes the same
-bits on whichever thread runs it, so results are bitwise identical for any
-worker count; every decision that reads more than one slice stays in the
-calling thread.
+included: the first split call starts its threads, every later call in
+the scope reuses them, and they are joined when the scope returns or
+raises.  A split call outside a scope is a scope of its own.  So threads
+live for one solve at most, and the package holds none between calls: a
+forked child (the ``lab`` trial workers, or a user's) inherits none.
+Every other kernel is one numpy call on the whole array.  When no trial's
+half-spectrum stack is split (``_split``), the experiment drivers run
+whole trials on processes instead, and in a trial process, whose pool
+initializer is ``_trial_worker``, the rule splits nothing (see the
+``lab`` module docstring).  The pieces of a kernel are laid out from its
+size alone, and a piece computes the same bits on whichever thread runs
+it, so results are bitwise identical for any worker count; every
+decision that reads more than one slice stays in the calling thread.
 
 The supported setting is one BLAS thread per call,
 ``OPENBLAS_NUM_THREADS=1`` (the benchmark sets it): every split kernel
@@ -145,8 +143,8 @@ def _cpu_count() -> int:
 # to 3.34 s.
 _PARALLEL_MIN = 2 ** 15
 
-# True in a lab trial worker process: there the trials are the one level of
-# parallelism, and no kernel is split.
+# True in a lab trial worker process (`_trial_worker`): there the trials are
+# the one level of parallelism, and no kernel is split.
 _trial_process = False
 
 
@@ -230,6 +228,33 @@ def _sliced(n: int, size: int, task) -> None:
         return
     edges = [n * i // parts for i in range(parts + 1)]
     _on_threads([partial(task, lo, hi) for lo, hi in zip(edges, edges[1:])])
+
+
+def _balanced(jobs, size: int) -> None:
+    """Run the (cost, task) jobs, each task() once, on _parts(len(jobs), size) threads.
+
+    Largest cost first, each job goes to the thread with the least cost so
+    far.  Every job writes its own part of its outputs, so where it runs
+    never changes what it computes.
+    """
+    parts = _parts(len(jobs), size)
+    shares, loads = [[] for _ in range(parts)], [0] * parts
+    for cost, task in sorted(jobs, key=lambda job: -job[0]):
+        i = loads.index(min(loads))
+        shares[i].append(task)
+        loads[i] += cost
+    _on_threads([partial(_run_each, share) for share in shares])
+
+
+def _run_each(tasks) -> None:
+    for task in tasks:
+        task()
+
+
+def _trial_worker():
+    """Pool initializer of the lab trial workers: a trial there splits no kernel."""
+    global _trial_process
+    _trial_process = True
 
 
 def _require_tensor(a, name="tensor"):
@@ -473,12 +498,15 @@ def norms(a: np.ndarray) -> TensorNorms:
     and all lateral slices a[:, j, :].
     """
     a = _require_tensor(a)
-    fro = float(np.sqrt((a * a).sum()))
-    l1 = float(np.abs(a).sum())
     linf = float(np.abs(a).max()) if a.size else 0.0
-    row_sq = (a * a).sum(axis=(1, 2))
-    col_sq = (a * a).sum(axis=(0, 2))
-    linf2 = float(np.sqrt(max(row_sq.max(), col_sq.max()))) if a.size else 0.0
+    # squares of the entries scaled exactly, by a power of two, to below 1,
+    # so that none overflows
+    e = math.frexp(linf)[1]
+    sq = np.square(np.ldexp(a, -e))
+    top = max(sq.sum(axis=(1, 2)).max(), sq.sum(axis=(0, 2)).max()) if a.size else 0.0
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        l1 = float(np.abs(a).sum())
+        fro, linf2 = (float(np.ldexp(np.sqrt(v), e)) for v in (sq.sum(), top))
     return TensorNorms(fro, l1, linf, linf2)
 
 

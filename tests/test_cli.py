@@ -1,7 +1,11 @@
 """Command-line surface: subcommand flows, exit codes, manifest replay."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +198,19 @@ def test_info_of_a_tensor_whose_spectrum_overflows_is_usage_error(tmp_path):
     assert main(["info", str(tmp_path / "big.t3")]) == 2
 
 
+def test_a_tensor_whose_squares_overflow_is_measured(tmp_path, capsys):
+    # 1e200 squares past the float range; its norm and errors do not
+    tio.write_tensor(tmp_path / "big.t3", np.full((3, 3, 3), 1e200))
+    assert main(["info", str(tmp_path / "big.t3")]) == 0
+    assert "fro_norm: 5.19615242270663" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["complete", str(tmp_path / "big.t3"), "--p", "0.9", "--max-iter", "5",
+                 "--out", str(out)]) == 3
+    report = dict(zip(*(line.split(",") for line in
+                        (out / "report.csv").read_text().splitlines())))
+    assert 0 < float(report["rel_error"]) < 1
+
+
 _HEADER_DIM = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 2 ** 28 + 1, 2 ** 40, 2 ** 64 - 1])
 _HEADER_DIMS = (st.tuples(_HEADER_DIM, _HEADER_DIM, _HEADER_DIM)
                 | st.tuples(*[st.integers(1, 6)] * 3))  # files a solve can read
@@ -203,7 +220,7 @@ _HEADER_DIMS = (st.tuples(_HEADER_DIM, _HEADER_DIM, _HEADER_DIM)
 # a rate in (0, 1] about half the time, so that some files reach a solve
 @given(dims=_HEADER_DIMS, mask_dims=st.none() | _HEADER_DIMS,
        p=st.sampled_from([0.5, 1.0]) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 2.0]),
-       value=st.sampled_from([1.0, -2.5, 0.0, np.nan]),
+       value=st.sampled_from([1.0, -2.5, 0.0, np.nan, 1e160, 1e200, 1e308]),
        damage=st.just((None, 0)) | st.tuples(st.sampled_from(["t3", "om"]), st.integers(-9, 9)))
 # headers numpy cannot shape, on the tensor (read by both commands) and on the mask
 @example(dims=(2 ** 40, 2 ** 40, 0), mask_dims=None, p=0.5, value=1.0, damage=(None, 0))
@@ -234,6 +251,92 @@ def test_file_headers_exit_with_a_code(dims, mask_dims, p, value, damage):
         codes = (2,) if max(dims + mask_dims) > tensor._VALUE_LIMIT else codes
         assert main(["complete", str(tmp / "x.t3"), "--mask", str(tmp / "m.om"),
                      "--max-iter", "5", "--out", str(tmp / "out")]) in codes
+
+
+# the special values of every numeric flag: each is rejected, or runs a
+# tiny command to its end
+_BIG = str(10 ** 20 - 1)
+_SPECIAL = ["nan", "inf", "-inf", "-1", "-0", "0", "2.5", "1e400", "1e-400", _BIG,
+            "1e308", "-1e308"]
+
+
+@pytest.fixture(scope="module")
+def numeric_slots(tmp_path_factory):
+    """(argv, i) for every numeric flag and positional of every subcommand:
+    a tiny command line that runs, with argv[i] the value to replace."""
+    tmp, gen = tmp_path_factory.mktemp("slots"), np.random.default_rng(7)
+    tio.write_tensor(tmp / "x.t3", tb.rand_low_tubal(3, 3, 2, 1, seed=1))
+    (tmp / "frames").mkdir()
+    for path in (tmp / "frames" / "f0.pgm", tmp / "frames" / "f1.pgm", tmp / "image.pgm"):
+        tio.write_image(path, gen.integers(0, 256, (4, 4), dtype=np.uint8))
+    x, out = str(tmp / "x.t3"), ["--out", str(tmp / "out")]
+    solver = ["--max-iter", "5", "--eps", "1e-8", "--rho", "1.1", "--mu0", "1e-4",
+              "--mu-max", "1e10", "--seed", "0", *out]
+    grid = ["--n1", "3", "--n2", "3", "--n3", "2", "--ranks", "1", "--trials", "1"]
+    commands = [
+        ["gen", "3", "3", "2", "1", "--seed", "0", *out],
+        ["recover", x, "--m", "30", "--rank-tol", "1e-3", *solver],
+        ["complete", x, "--p", "0.5", "--rank-tol", "1e-3", *solver],
+        ["phase", "completion", *grid, "--values", "0.5", "--threshold", "1e-3", *solver],
+        ["phase", "gaussian", *grid, "--values", "30", "--max-iter", "5", *out],
+        ["inpaint", str(tmp / "image.pgm"), "--p", "0.5", *solver],
+        ["frames", str(tmp / "frames"), "--p", "0.5", *solver],
+        ["info", x, "--rank-tol", "1e-6"],
+    ]
+    for argv in commands:
+        assert main(argv) in (0, 3)
+
+    def number(arg):
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return True
+
+    return [(argv, i) for argv in commands for i, arg in enumerate(argv) if number(arg)]
+
+
+@settings(max_examples=len(_SPECIAL))
+@given(value=st.sampled_from(_SPECIAL))
+def test_special_values_in_numeric_flags_exit_with_a_code(numeric_slots, value):
+    # every numeric flag of every subcommand, set to a special value, ends in
+    # an exit code, with no exception or RuntimeWarning; a count past the
+    # size rule is refused before anything is built.  A --max-iter that
+    # parses is a cap the solve may run to, so it draws only rejected ones
+    for argv, i in numeric_slots:
+        if argv[i - 1] == "--max-iter" and value == _BIG:
+            continue
+        case = [*argv[:i], value, *argv[i + 1:]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(case)
+            except SystemExit as exc:  # argparse refusing a value
+                code = exc.code
+        assert code in (0, 2, 3, 4), case
+
+
+def test_phase_trial_count_past_the_size_rule_is_a_usage_error(tmp_path):
+    # 10^20 trials exit 2 before their list is built.  The command runs in a
+    # child under an address-space cap, so that a list that is built fails
+    # with a MemoryError instead of filling the host's memory
+    resource = pytest.importorskip("resource")
+
+    def capped():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2 ** 29 if hard == resource.RLIM_INFINITY else min(2 ** 29, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "tubal", "phase", "completion", "--n1", "3", "--n2", "3",
+         "--n3", "2", "--values", "0.5", "--ranks", "1", "--trials", _BIG,
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(tb.__file__).parents[1]),
+             "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=capped, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: trial list of") and not list(out.iterdir())
 
 
 def test_info_identity(tmp_path, capsys):

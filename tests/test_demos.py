@@ -1,4 +1,6 @@
-"""Every demo runs to completion as a script, in a directory of its own."""
+"""Every demo runs to completion as a script, in a directory of its own,
+with RuntimeWarning and DeprecationWarning raised as errors, as the suite
+raises them in-process."""
 
 import os
 import subprocess
@@ -14,8 +16,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     if demo.stem == "05_phase_grid":
         assert (tmp_path / "phase_grid_demo.csv").read_text().startswith("kind,")

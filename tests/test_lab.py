@@ -240,6 +240,16 @@ def test_rel_error_and_psnr():
     assert tb.psnr(zero, zero) == float("inf")
 
 
+@pytest.mark.parametrize("e", [-700, 530, 660, 1000])
+def test_rel_error_scales_exactly_where_squares_leave_the_float_range(e):
+    # 2**e-scaled entries whose squares underflow (e = -700) or overflow
+    x = RNG.standard_normal((3, 3, 2))
+    big = np.ldexp(x, e)
+    assert tb.rel_error(np.ldexp(x + 0.1, e), big) == tb.rel_error(x + 0.1, x)
+    assert tb.rel_error(np.zeros_like(x), big) == 1.0
+    assert tb.rel_error(-big, big) == 2.0
+
+
 def test_run_table1_empty_and_error_rows():
     assert tb.run_table1([]) == []
     rows = tb.run_table1([(4, 2, 9, 10)])  # rank 9 > min dim: recorded, not raised

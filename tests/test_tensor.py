@@ -198,6 +198,17 @@ def test_norms_linf2_matches_direct_max():
     assert abs(tb.norms(a).linf2 - max(horiz, lat)) <= 1e-12
 
 
+@pytest.mark.parametrize("e", [-700, 530, 660, 1000])
+def test_norms_scale_exactly_where_squares_leave_the_float_range(e):
+    # 2**e-scaled entries whose squares underflow (e = -700) or overflow
+    a = RNG.standard_normal((3, 4, 2))
+    assert tb.norms(np.ldexp(a, e)) == tuple(np.ldexp(v, e) for v in tb.norms(a))
+
+
+def test_norms_past_the_float_range_are_inf():
+    assert tb.norms(np.full((2, 2, 2), 1.7e308)) == (np.inf, np.inf, 1.7e308, np.inf)
+
+
 def test_inner_products():
     a = RNG.standard_normal((3, 4, 5))
     b = RNG.standard_normal((3, 4, 5))
