@@ -165,6 +165,10 @@ def psnr(xhat: np.ndarray, m: np.ndarray) -> float:
 
     inf when xhat equals m; -inf when m is all zero and xhat is not.
     """
+    # scaled exactly, by a power of two, to entries below 1, as in rel_error:
+    # the ratio keeps its bits, and no square overflows or underflows
+    e = math.frexp(max(np.abs(xhat).max(initial=0.0), np.abs(m).max(initial=0.0)))[1]
+    xhat, m = np.ldexp(xhat, -e), np.ldexp(m, -e)
     peak = float(np.abs(m).max())
     mse = float(((xhat - m) ** 2).mean())
     if mse == 0.0:

@@ -52,9 +52,12 @@ Completion splits x + e = P_Omega(M) with e zero on Omega.  Neither e nor a
 full-size dual is stored: both start at zero and keep e = -x, dual = 0 off
 Omega, exactly in floating point, so the SVT input is the last x with
 b + dual/mu on Omega (b the observed data) and res_e is x's largest change
-off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).  res_x and
-res_e are functions, so `_admm` forms them only once res_feas is at most
-eps, for a history row and at the cap.
+off Omega: the inexact ALM of Lin, Chen & Ma (arXiv 1009.5055).  The solve
+holds one tensor-sized iterate: it writes b + dual/mu over x on Omega, and
+the SVT takes x as its input and writes its result over it.  The inverse
+FFT measures res_e as it writes each block of rows (`tensor._irfft3`), and
+res_x is the larger of res_e and x's largest change on Omega, against x on
+Omega as the last iteration took it for its gap.
 
 While every SVT call of a completion solve has returned zero, x = 0 and
 the dual is the sum of mu_j b over the past iterations j < k, so the SVT
@@ -386,44 +389,39 @@ def solve_completion(mask: SampleMask, m_obs: np.ndarray, cfg: AdmmConfig | None
     _require_nonempty(mask.dims)
     t0 = time.perf_counter()
     obs = np.flatnonzero(mask.observed)
-    unobserved = ~mask.observed
     b = np.asarray(m_obs, dtype=float).take(obs)
     _require_finite(b, "observed data")
 
-    x = np.zeros(mask.dims)
+    x = np.zeros(mask.dims)  # C-ordered: its reshape is a view
+    x.reshape(-1)[obs] = b
+    zero_phase = _ScaledZero(x)  # base: P_Omega(b)
+    x.reshape(-1)[obs] = 0.0
     dual = np.zeros(obs.size)
-
-    def svt_input(x, dual, mu):  # x off Omega, b + dual/mu on Omega
-        y = x.copy()  # C-ordered: its reshape is a view
-        y.reshape(-1)[obs] = b + dual / mu
-        return y
-
-    zero_phase = _ScaledZero(svt_input(x, dual, 1.0))  # base: P_Omega(b)
+    x_obs = 0.0  # x on Omega, as the last gap took it
     mu_sum = 0.0  # the penalties of the zero phase's iterations
     feas0 = float(np.abs(b).max(initial=0.0))  # res_feas of a zero call, whose gap is b
 
     def step(mu, svt_state):
-        nonlocal x, dual, zero_phase, mu_sum
+        nonlocal dual, zero_phase, mu_sum, x_obs
         if zero_phase is not None:
             if zero_phase(1.0 + mu_sum / mu, 1.0 / mu, svt_state):
                 mu_sum += mu
                 dual += mu * b
                 return x, 0.0, {"res_x": 0.0, "res_e": 0.0, "res_feas": feas0}
             zero_phase = None
-        v = svt_input(x, dual, mu)
-        x_new, objective = _svt_freq(v, 1.0 / mu, svt_state, out=v)
-        gap = b - x_new.take(obs)
+        # the SVT input, in place: x off Omega, b + dual/mu on Omega
+        x.reshape(-1)[obs] = b + dual / mu
+        _, objective, res_e = _svt_freq(x, 1.0 / mu, svt_state, out=x, skip=obs)
+        taken = x.take(obs)
+        change = taken - x_obs
+        res_x = max(res_e, float(np.abs(change, out=change).max(initial=0.0)))
+        x_obs = taken
+        gap = np.subtract(b, taken, out=change)
         dual += mu * gap
-        x_old, x = x, x_new
-
-        def change(where=True):  # x's largest change, in one temporary
-            d = x_new - x_old
-            return float(np.max(np.abs(d, out=d), where=where, initial=0.0))
-
         residuals = {
-            "res_x": change,
-            "res_e": partial(change, unobserved),
-            "res_feas": float(np.abs(gap).max(initial=0.0)),
+            "res_x": res_x,
+            "res_e": res_e,
+            "res_feas": float(np.abs(gap, out=gap).max(initial=0.0)),
         }
         return x, objective, residuals
 

@@ -143,6 +143,10 @@ def _cpu_count() -> int:
 # to 3.34 s.
 _PARALLEL_MIN = 2 ** 15
 
+# The values per block of a measured inverse FFT (`_irfft3` with skip): each
+# thread holds one buffer of that many doubles (256 KiB) beside out.
+_BLOCK = 2 ** 15
+
 # True in a lab trial worker process (`_trial_worker`): there the trials are
 # the one level of parallelism, and no kernel is split.
 _trial_process = False
@@ -344,23 +348,51 @@ def _rfft3(a: np.ndarray) -> np.ndarray:
     return f
 
 
-def _irfft3(f: np.ndarray, n3: int, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft3(f: np.ndarray, n3: int, out: np.ndarray | None = None, skip=None):
     """The real (n1, n2, n3) tensor whose independent Fourier slices are f (h, n1, n2).
 
     It is written into out, a C-contiguous float (n1, n2, n3) array that
     does not overlap f, when one is given, and into a fresh array otherwise.
+
+    With skip, the sorted flat indices of some entries of out, it returns
+    (out, change): change is the largest |new - old| over the other
+    entries, old being what out held before.  Each thread then writes its
+    rows in blocks of at most `_BLOCK` values (one row at least) through
+    one buffer: a block's transform goes into the buffer, old - new into
+    out, zeros at the skipped entries, and, once its largest magnitude is
+    read, the buffer over out.  So the measure holds one block per thread
+    beside out, and out gets the plain transform's bits.
     """
     h, n1, n2 = f.shape
     if out is None:
         out = np.empty((n1, n2, n3))
     tubes = f.transpose(1, 2, 0)
+    if skip is None:
+        def task(lo, hi):
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.fft.irfft(tubes[lo:hi], n=n3, axis=2, out=out[lo:hi])
+
+        _sliced(n1, h * n1 * n2, task)
+        return out
+    flat = out.reshape(-1)
+    cuts = np.searchsorted(skip, np.arange(n1 + 1) * (n2 * n3))  # skip's part in each row
+    rows = max(1, _BLOCK // (n2 * n3))
+    change = np.zeros(n1)  # the change of each block, at its first row
 
     def task(lo, hi):
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.fft.irfft(tubes[lo:hi], n=n3, axis=2, out=out[lo:hi])
+        buf = np.empty((min(rows, hi - lo), n2, n3))
+        for r0 in range(lo, hi, rows):
+            r1 = min(r0 + rows, hi)
+            new, old = buf[:r1 - r0], out[r0:r1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.fft.irfft(tubes[r0:r1], n=n3, axis=2, out=new)
+                np.subtract(old, new, out=old)
+            flat[skip[cuts[r0]:cuts[r1]]] = 0.0
+            change[r0] = np.abs(old, out=old).max()
+            old[...] = new
 
     _sliced(n1, h * n1 * n2, task)
-    return out
+    return out, float(change.max())
 
 
 def fft_dim3(a: np.ndarray) -> np.ndarray:

@@ -78,19 +78,21 @@ for any chunking, so results do not depend on the worker count.
 A full-path call stores its factors in place.  The SVD writes each
 batch's left vectors U (n1 x min(n1, n2) per slice, which fits in the
 n1 x n2 slice) over the spectrum F, so no stack of them sits beside F.
-The state keeps the k kept rows of V^H, in the orientation the SVD
-returns them: a copy, since a view would keep all of V^H until the next
-call, or V^H itself when every row is kept (k = min(n1, n2), as on
-full-rank data), so no copy of V^H sits beside it.  The rebuild writes
-each thresholded slice, U_k diag(s_k - tau) V_k^H with the one k of the
-whole stack, back into F, for the inverse FFT to read.  So a full call
-holds F, V^H and the output beside its input, and a truncated call F, the
-sketch's factors and the output.  The caller keeps the input alive until
-the call returns (on the n=100 Table-2 row, freeing it before the SVD
-lowered the traced peak but multiplied the minor page faults by 13-15); a
-solver, which reads its input no more, passes it as the output array too,
-so the inverse FFT writes over it and the call allocates no output of its
-own.
+It stores only the leading rows of V^H that the call can keep
+(`_vh_rows`), and takes the SVD again with every row in the rare call
+that keeps more.  The state keeps the k kept rows of V^H, in the
+orientation the SVD returns them: a copy, since a view would keep all
+the stored rows until the next call, or the stored stack itself when it
+holds k rows (as on full-rank data), so no copy sits beside it.  The
+rebuild writes each thresholded slice, U_k diag(s_k - tau) V_k^H with the
+one k of the whole stack, back into F, for the inverse FFT to read.  So a
+full call holds F, the stored rows of V^H and the output beside its
+input, and a truncated call F, the sketch's factors and the output.  The
+caller keeps the input alive until the call returns (on the n=100 Table-2
+row, freeing it before the SVD lowered the traced peak but multiplied the
+minor page faults by 13-15); a solver, which reads its input no more,
+passes it as the output array too, so the inverse FFT writes over it and
+the call allocates no output of its own.
 """
 
 import math
@@ -123,26 +125,28 @@ from .tensor import (
 _SVD_BATCH = 2 ** 16
 
 
-def _svd(f: np.ndarray, vectors: bool = True):
+def _svd(f: np.ndarray, vectors: bool = True, rows: int | None = None):
     """Thin SVD (u, s, vh) of every slice of the stack f; with vectors=False
     only the singular values s, shape (h, min(n1, n2)).
 
     With vectors, u (h, n1, min(n1, n2)) is the view f[:, :, :min(n1, n2)]:
     each batch's left vectors overwrite the slices they came from, so the
-    SVD holds no stack of them beside f.
+    SVD holds no stack of them beside f.  vh (h, rows, n2) holds the
+    leading rows of V^H, every row by default.
     """
     h, n1, n2 = f.shape
     k = min(n1, n2)
     s = np.empty((h, k))
     if vectors:
-        vh = np.empty((h, k, n2), dtype=f.dtype)
+        vh = np.empty((h, k if rows is None else rows, n2), dtype=f.dtype)
     batch = max(1, _SVD_BATCH // max(1, n1 * n2))
 
     def task(lo, hi):
         for i in range(lo, hi, batch):
             j = min(i + batch, hi)
             if vectors:
-                f[i:j, :, :k], s[i:j], vh[i:j] = np.linalg.svd(f[i:j], full_matrices=False)
+                f[i:j, :, :k], s[i:j], v = np.linalg.svd(f[i:j], full_matrices=False)
+                vh[i:j] = v[:, :vh.shape[1]]
             else:
                 s[i:j] = np.linalg.svd(f[i:j], compute_uv=False)
 
@@ -319,10 +323,10 @@ class _SvtState:
         return self._gauss[key]
 
 
-def _threshold(f, u, shr, vh, n3: int, out) -> np.ndarray:
+def _threshold(f, u, shr, vh, n3: int, out, skip=None):
     """The tensor whose Fourier slices are u[:, :, :k] diag(shr[:, :k]) vh,
     with k >= 1 the rows of the C-ordered stack vh, written into out as
-    `_irfft3` does.
+    `_irfft3` does, which also measures its change with skip.
 
     The slices are written into f, which u may view, in batches of
     `_SVD_BATCH` elements: one batched product of the kept left columns,
@@ -335,7 +339,7 @@ def _threshold(f, u, shr, vh, n3: int, out) -> np.ndarray:
     for i in range(0, len(f), batch):
         np.matmul(u[i:i + batch, :, :k] * shr[i:i + batch, None, :k],
                   vh[i:i + batch], out=f[i:i + batch])
-    return _irfft3(f, n3, out)
+    return _irfft3(f, n3, out, skip)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -442,7 +446,27 @@ def _slice_norms(f: np.ndarray) -> np.ndarray:
         return np.sqrt(np.vecdot(rows, rows))
 
 
-def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
+def _vh_rows(norms: np.ndarray, tau: float, state: _SvtState, side: int) -> int:
+    """The rows of V^H that a full-path call stores, of side = min(n1, n2).
+
+    A slice keeps fewer than (norm / tau)^2 values, since its squared
+    singular values sum to its squared Frobenius norm: so at most
+    floor((norm / tau)^2) + 1 of the largest norm, a bound that holds for
+    every input (every row when that norm overflowed).  When the state
+    holds a spectrum, the rows are also at most the count that spectrum
+    keeps at this tau plus `_OVERSAMPLE`: a prediction, which `_svt_freq`
+    checks.
+    """
+    top = float(norms.max())
+    rows = side
+    if top < tau * math.sqrt(side):  # False for an overflowed norm
+        rows = min(side, math.floor((top / tau) ** 2) + 1)
+    if state.svals is not None:
+        rows = min(rows, int((state.svals > tau).sum(axis=1).max()) + _OVERSAMPLE)
+    return rows
+
+
+def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None, skip=None):
     """Soft-threshold singular values per Fourier slice; returns (tensor, tnn).
 
     The call takes the zero, truncated or full path of the module docstring
@@ -452,6 +476,16 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
     does once it overflows.  The tensor is written into out, a C-contiguous
     float array of y's shape, which may be y itself: the forward FFT has
     read y before anything is written.  Without out it is a fresh array.
+
+    With skip, the sorted flat indices of some entries, and out, the call
+    returns (tensor, tnn, change): change is the largest |new - old| over
+    out's other entries, old being what out held before the call (see
+    `tensor._irfft3`).
+
+    A full-path call stores only the rows of V^H that `_vh_rows` allows.
+    When some slice keeps more values than that, the call takes the SVD
+    again, with every row, from a new FFT of y, which nothing has written
+    yet; so the result does not depend on the rows stored.
     """
     n3 = y.shape[2]
     f = _rfft3(y)
@@ -464,19 +498,29 @@ def _svt_freq(y: np.ndarray, tau: float, state: _SvtState, out=None):
         plan = _plan(f.shape, tau, state)
         factors = None if plan is None else _truncated_svd(f, tau, state, *plan)
         path = "full" if factors is None else "truncated"
-        u, s, vh = factors or _svd(f)
+        u, s, vh = factors or _svd(f, rows=_vh_rows(norms, tau, state, min(f.shape[1:])))
         shr = np.maximum(s - tau, 0.0)
         k = int((shr > 0.0).sum(axis=1).max())
+        if k > vh.shape[1]:  # more than the stored rows: again, with every row
+            del u, vh, f
+            f = _rfft3(y)
+            u, s, vh = _svd(f)
     if not k:
         state.zero()
         if out is None:
             return np.zeros(y.shape), 0.0
+        if skip is not None:  # the change to zero
+            flat = np.abs(out, out=out).reshape(-1)
+            flat[skip] = 0.0
+            change = float(flat.max())
         out.fill(0.0)
-        return out, 0.0
+        return (out, 0.0) if skip is None else (out, 0.0, change)
     state.paths[path] += 1
     state.leave(vh if k == vh.shape[1] else vh[:, :k].copy(), s)
     del factors, vh  # the rebuild reads the kept rows of V^H from the state
-    return _threshold(f, u, shr, state.vh, n3, out), float(_spectral_mean(shr, n3).sum())
+    x = _threshold(f, u, shr, state.vh, n3, out, skip)
+    tnn = float(_spectral_mean(shr, n3).sum())
+    return (x, tnn) if skip is None else (x[0], tnn, x[1])
 
 
 # The relative margin of `_ScaledZero`'s tests, beyond the rounding bound it

@@ -1,5 +1,6 @@
 import multiprocessing
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,3 +41,14 @@ def positive_low_tubal(n1, n2, n3, r, seed):
     q = 0.5 + gen.random((r, n2, n3))
     t = tb.tprod(p, q)
     return t / t.max()
+
+
+def traced_peak(fn):
+    """(peak, result): the most memory, in bytes, that tracemalloc saw
+    allocated while fn() ran, and what fn() returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

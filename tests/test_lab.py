@@ -1,5 +1,7 @@
 """Experiment harness: formulas, incoherence, tangent projections, grids."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,17 @@ def test_rel_error_scales_exactly_where_squares_leave_the_float_range(e):
     assert tb.rel_error(np.ldexp(x + 0.1, e), big) == tb.rel_error(x + 0.1, x)
     assert tb.rel_error(np.zeros_like(x), big) == 1.0
     assert tb.rel_error(-big, big) == 2.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+def test_psnr_scales_exactly_where_squares_leave_the_float_range(scale):
+    # a peak of 2 s against an error of s everywhere: 20 log10(2) dB at
+    # every scale, where unscaled squares underflow (1e-170) or overflow (1e200)
+    s = (2, 3, 2)
+    assert tb.psnr(np.full(s, scale), np.full(s, 2 * scale)) == pytest.approx(
+        20 * math.log10(2), abs=1e-12)
+    x = RNG.standard_normal(s)
+    assert tb.psnr(scale * (x + 0.1), scale * x) == pytest.approx(tb.psnr(x + 0.1, x))
 
 
 def test_run_table1_empty_and_error_rows():

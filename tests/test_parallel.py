@@ -12,13 +12,13 @@ import signal
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
 import tubal as tb
+from conftest import traced_peak
 from tubal import lab, rng, solve, tensor
 from tubal.errors import NonFiniteValues
 from tubal.solve import AdmmConfig
@@ -89,6 +89,33 @@ def test_ffts_match_numpy_bitwise(monkeypatch, n3, split):
             part = tensor._irfft3(f[:, :, :2], n3)
             assert part.tobytes() == scipy.fft.irfft(f[:, :, :2].transpose(1, 2, 0), n=n3,
                                                      axis=2).tobytes()
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("shape", [(9, 7, 6), (9, 7, 5), (1, 7, 5), (4, 90, 64)])
+def test_measured_inverse_fft_matches_numpy(monkeypatch, shape, split):
+    # the change that _irfft3 measures as it writes over out, against plain
+    # numpy, with nothing, some or everything skipped, in blocks of one row
+    # and of several, on 1-3 CPUs; out gets the plain transform's bits
+    n1, n2, n3 = shape
+    gen = np.random.default_rng(sum(shape))
+    f = tensor._rfft3(gen.standard_normal(shape))
+    plain = np.fft.irfft(f.transpose(1, 2, 0), n=n3, axis=2)
+    old = gen.standard_normal(shape)
+    monkeypatch.setattr(tensor, "_PARALLEL_MIN", f.size if split else f.size + 1)
+    for p in (0.0, 0.4, 1.0):
+        skip = np.flatnonzero(gen.random(shape) < p)
+        measured = np.ones(old.size, dtype=bool)
+        measured[skip] = False
+        expected = np.abs(plain - old).reshape(-1)[measured].max(initial=0.0)
+        assert (expected == 0.0) == (p == 1.0)
+        for block, cpus in ((1, 1), (1, 3), (tensor._BLOCK, 2), (tensor._BLOCK, 3)):
+            monkeypatch.setattr(tensor, "_BLOCK", block)
+            monkeypatch.setattr(tensor, "_cpu_count", lambda: cpus)
+            out = old.copy()
+            got, change = tensor._irfft3(f, n3, out, skip)
+            assert got is out and out.tobytes() == plain.tobytes()
+            assert change == expected
 
 
 def test_ffts_of_overflowing_input_do_not_warn(monkeypatch):
@@ -239,12 +266,8 @@ def test_normal_fill_on_one_cpu_holds_no_radius_array(monkeypatch):
     monkeypatch.setattr(rng, "_BLOCK", 1024)
     count = 100_000
     gen = tb.substream(8, "fill", count)
-    tracemalloc.start()
-    try:
-        _with_workers(monkeypatch, 1, lambda: tb.normal_fill(gen, count))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(
+        lambda: _with_workers(monkeypatch, 1, lambda: tb.normal_fill(gen, count)))
     assert peak <= 1.1 * 8 * count
 
 
@@ -349,12 +372,12 @@ def test_a_solve_that_raises_leaves_no_thread(monkeypatch):
     calls = []
     svt_freq = solve._svt_freq
 
-    def overflowing(y, tau, state, out=None):
+    def overflowing(y, tau, state, out=None, skip=None):
         calls.append(tau)
         if len(calls) == 5:
             y = y.copy()
             y[0, 0, 0] = np.inf
-        return svt_freq(y, tau, state, out=out)
+        return svt_freq(y, tau, state, out=out, skip=skip)
 
     monkeypatch.setattr(solve, "_svt_freq", overflowing)
     started = _count_thread_starts(monkeypatch)

@@ -2,13 +2,13 @@
 
 import importlib
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import tubal as tb
+from conftest import traced_peak
 from tubal import tensor
 from tubal.errors import DimMismatch, EmptyTensor, InvalidSolverConfig, NonFiniteValues
 from tubal.solve import AdmmConfig, _admm, _penalty
@@ -207,13 +207,7 @@ def _factor_peak():
     tile = 128
     k = 3 * tile
     src = tb.make_gaussian_map(k + 10, (k, 1, 1), seed=4).a.T
-    tracemalloc.start()
-    try:
-        solve_module._factor(src)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak, 8 * (k * k + k * tile) / 2
+    return traced_peak(lambda: solve_module._factor(src))[0], 8 * (k * k + k * tile) / 2
 
 
 def test_factor_holds_half_the_system(monkeypatch):
@@ -232,51 +226,63 @@ def test_factor_holds_half_the_system_on_threads(monkeypatch, cpus):
     assert peak <= 1.05 * half
 
 
+def _completion_peak(m_full, mask):
+    """The traced peak of a completion solve, in tensors of n1 n2 n3
+    doubles, with its result; a first solve runs numpy's lazy imports."""
+    tb.solve_completion(mask, m_full)
+    peak, (xhat, report) = traced_peak(lambda: tb.solve_completion(mask, m_full))
+    return peak / (8 * m_full.size), xhat, report
+
+
 def test_completion_holds_no_stack_of_left_vectors(monkeypatch):
     # every SVT call that is not zero takes the full path (slices below
-    # _MIN_SIDE) and keeps a small rank.  Beside x, the observed data and
-    # its duals, a call holds its input, the spectrum F, which the SVD's
-    # left vectors and then the rebuilt slices overwrite, and V^H: measured
-    # 7.1 tensors of n1 n2 n3 doubles; a stack of left vectors or of rebuilt
-    # slices beside F adds more than one (8.5 measured)
+    # _MIN_SIDE) and keeps a small rank.  Beside x, the observed data, its
+    # duals and x on the mask, a call holds the spectrum F, which the SVD's
+    # left vectors and then the rebuilt slices overwrite, and the rows of
+    # V^H it can keep: measured 5.7 tensors of n1 n2 n3 doubles; a stack of
+    # left vectors beside F reads 6.8
     monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
     monkeypatch.setattr(tsvd_module, "_SVD_BATCH", 1)  # one slice per LAPACK call
     dims = (30, 30, 16)
     m_full = tb.rand_low_tubal(*dims, 2, seed=1, scale="inv_n")
     mask = tb.make_bernoulli_mask(dims, 0.6, seed=2)
-    tb.solve_completion(mask, m_full)  # numpy's lazy imports are not the solve's
-    tracemalloc.start()
-    try:
-        xhat, report = tb.solve_completion(mask, m_full)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, xhat, report = _completion_peak(m_full, mask)
     assert report.converged and report.svt_paths["truncated"] == 0
     assert report.svt_paths["full"] > 0 and tb.rel_error(xhat, m_full) <= 1e-6
-    assert peak <= 7.5 * 8 * np.prod(dims)
+    assert peak <= 5.98
 
 
 def test_full_rank_completion_holds_no_copy_of_right_vectors(monkeypatch):
     # every Fourier slice of the data is one orthogonal matrix, so each SVT
     # call that is not zero keeps every row of V^H of every slice.  The
-    # state then keeps V^H itself: measured 9.5 tensors of n1 n2 n3
-    # doubles; a conjugate copy of V^H beside it adds 0.7 (10.3 measured)
+    # state then keeps V^H itself: measured 9.6 tensors of n1 n2 n3
+    # doubles; a conjugate copy of V^H beside it adds 0.7
     monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
     monkeypatch.setattr(tsvd_module, "_SVD_BATCH", 1)
     dims = (30, 30, 8)
     m_full = np.zeros(dims)
     m_full[:, :, 0] = np.linalg.qr(np.random.default_rng(5).standard_normal(dims[:2]))[0]
     mask = tb.make_bernoulli_mask(dims, 1.0, seed=2)
-    tb.solve_completion(mask, m_full)
-    tracemalloc.start()
-    try:
-        xhat, report = tb.solve_completion(mask, m_full)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, xhat, report = _completion_peak(m_full, mask)
     assert report.converged and report.svt_paths["full"] > 0
     assert tb.tubal_rank(xhat) == 30 and tb.rel_error(xhat, m_full) <= 1e-6
-    assert peak <= 9.9 * 8 * np.prod(dims)
+    assert peak <= 9.9
+
+
+def test_completion_holds_one_iterate(monkeypatch):
+    # zero, truncated and full SVT calls.  The solve holds x, which each
+    # call takes as its input and writes over, and x on the mask, not a
+    # second tensor-sized iterate; its full calls store the rows of V^H they
+    # can keep: measured 6.85 tensors of n1 n2 n3 doubles (8.5 with a copy
+    # of x and all of V^H)
+    monkeypatch.setattr(tensor, "_cpu_count", lambda: 1)
+    dims = (64, 64, 16)
+    m_full = tb.rand_low_tubal(*dims, 2, seed=1, scale="inv_n")
+    mask = tb.make_bernoulli_mask(dims, 0.5, seed=2)
+    peak, xhat, report = _completion_peak(m_full, mask)
+    assert report.converged and min(report.svt_paths.values()) > 0
+    assert tb.rel_error(xhat, m_full) <= 1e-6
+    assert peak <= 7.2
 
 
 def test_gaussian_rejects_empty_tensor():
@@ -451,10 +457,10 @@ def _spy_svt_calls(monkeypatch):
         calls.append((True, zero, c * self.top > tau))
         return zero
 
-    def svt_spy(y, tau, state, out=None):
+    def svt_spy(y, tau, state, out=None, skip=None):
         zeros = state.paths["zero"]
         top = tsvd_module._slice_norms(tsvd_module._rfft3(y)).max()  # out may be y
-        result = _svt_freq(y, tau, state, out=out)
+        result = _svt_freq(y, tau, state, out=out, skip=skip)
         calls.append((False, state.paths["zero"] > zeros, bool(top > tau)))
         return result
 

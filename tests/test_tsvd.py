@@ -2,7 +2,6 @@
 
 import copy
 import importlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubal as tb
+from conftest import traced_peak
 from tubal import tensor
 from tubal.errors import (
     EmptyTensor,
@@ -344,8 +344,8 @@ def _spy_svd(monkeypatch):
     """Record vectors=True/False for every call of tsvd._svd."""
     calls = []
     svd = tsvd_module._svd
-    monkeypatch.setattr(tsvd_module, "_svd",
-                        lambda f, vectors=True: calls.append(vectors) or svd(f, vectors))
+    monkeypatch.setattr(tsvd_module, "_svd", lambda f, vectors=True, rows=None:
+                        calls.append(vectors) or svd(f, vectors, rows))
     return calls
 
 
@@ -385,6 +385,33 @@ def test_svt_call_makes_at_most_one_svd(monkeypatch):
         tsvd_module._svt_freq(y, tau, state)
         assert state.paths == {"zero": 0, "truncated": 0, "full": 0} | {path: 1}
     assert calls == [True, True]  # one SVD, with vectors, per call
+
+
+def test_full_svd_past_the_predicted_rows_is_taken_again(monkeypatch):
+    # slices below _MIN_SIDE take the full path.  The state's rank-2
+    # spectrum predicts 2 + _OVERSAMPLE rows of V^H at this tau, and the next
+    # call keeps 15: it takes the SVD again with every row, so its result is
+    # that of a call that stores every row
+    gen = np.random.default_rng(97)
+    a, b = gen.standard_normal((20, 15, 3)), gen.standard_normal((15, 20, 3))
+    y15, y2 = tb.tprod(a, b), tb.tprod(a[:, :2], b[:2])
+    tau = 0.5 * np.linalg.svd(tsvd_module._rfft3(y15), compute_uv=False)[:, 14].min()
+    state = tsvd_module._SvtState()
+    tsvd_module._svt_freq(y2, tau, state)
+    assert state.vh.shape[1] == 2
+    stored = []
+    svd = tsvd_module._svd
+    monkeypatch.setattr(tsvd_module, "_svd", lambda f, vectors=True, rows=None:
+                        stored.append(rows) or svd(f, vectors, rows))
+    uncapped = copy.deepcopy(state)
+    x, t = tsvd_module._svt_freq(y15, tau, state)
+    assert stored == [2 + tsvd_module._OVERSAMPLE, None] and state.vh.shape[1] == 15
+    monkeypatch.setattr(tsvd_module, "_vh_rows", lambda norms, tau, state, side: side)
+    x_ref, t_ref = tsvd_module._svt_freq(y15, tau, uncapped)
+    assert x.tobytes() == x_ref.tobytes() and t == t_ref
+    assert state.vh.tobytes() == uncapped.vh.tobytes()
+    assert state.svals.tobytes() == uncapped.svals.tobytes()
+    assert np.linalg.norm(x - _svt_slice_oracle(y15, tau)) <= 1e-10 * np.linalg.norm(y15)
 
 
 def _rank_four_slice(tail):
@@ -446,12 +473,7 @@ def test_truncated_svt_holds_one_spectrum(monkeypatch, cpus):
     y, tau, state = _warm_svt((160, 160, 2), 0.3)
     f_bytes = tsvd_module._rfft3(y).nbytes
     assert tsvd_module._plan((2, 160, 160), tau, state)[1] > 0  # power steps
-    tracemalloc.start()
-    try:
-        tsvd_module._svt_freq(y, tau, state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: tsvd_module._svt_freq(y, tau, state))
     assert state.paths["truncated"] == 1
     assert peak <= 1.8 * f_bytes
 
@@ -463,12 +485,21 @@ def test_svt_out_is_written_over_the_input(path):
         tau = 2.0 * np.linalg.norm(y)
     if path == "full":
         state = tsvd_module._SvtState()
-    twin = copy.deepcopy(state)
+    twin, measured = copy.deepcopy(state), copy.deepcopy(state)
     x_ref, t_ref = tsvd_module._svt_freq(y, tau, twin)
     v = y.copy()
     x, t = tsvd_module._svt_freq(v, tau, state, out=v)
     assert np.shares_memory(x, v) and x.tobytes() == x_ref.tobytes() and t == t_ref
     assert state.paths == twin.paths and state.paths[path] == 1
+    # with skip, the call also measures its largest change off those
+    # entries; the largest change of all is skipped
+    d = np.abs(x_ref - y).reshape(-1)
+    skipped = np.random.default_rng(95).random(y.size) < 0.4
+    skipped[d.argmax()] = True
+    v = y.copy()
+    x, t, change = tsvd_module._svt_freq(v, tau, measured, out=v, skip=np.flatnonzero(skipped))
+    assert x is v and x.tobytes() == x_ref.tobytes() and t == t_ref
+    assert change == d[~skipped].max() < d.max()
     y0 = y.copy()
     tb.svt(y, tau)
     assert y.tobytes() == y0.tobytes()
